@@ -18,9 +18,7 @@ object Table4TopInfluence {
         println(s"${spec.name}:")
         for (model <- Tables.models) {
           val g = Instances.influenceGraph(spec, model)
-          val oracle = RRSetJob(spark, g, theta, seed = 4242L)
-          val top = Tables.table4Row(oracle)
-          oracle.unpersist()
+          val top = Tables.table4Row(RRSetJob(spark, g, theta, seed = 4242L))
           println(f"  ${model.name}%-7s Inf(v1)=${top(0)}%.4f Inf(v2)=${top(1)}%.4f Inf(v3)=${top(2)}%.4f")
         }
       }

@@ -1,0 +1,110 @@
+package repro.core
+
+import java.util.SplittableRandom
+import repro.graphs.LocalGraph
+
+/** A batch of RR sets in one flat format: set `i` is
+  * `members(offsets(i) until offsets(i + 1))`, in BFS order from its target.
+  * The RIS estimator and the shared influence oracle both store their RR sets
+  * this way; [[invert]] gives the vertex → set-id index both of them read.
+  *
+  * @param n       vertex count of the graph the sets were drawn on
+  * @param offsets set boundaries into `members`, length `size + 1`
+  * @param members concatenated set members
+  */
+final class RRCollection(val n: Int, val offsets: Array[Int], val members: Array[Int])
+    extends Serializable {
+  require(offsets.nonEmpty && offsets.last == members.length,
+          "offsets must end at the member count")
+
+  /** Number of RR sets. */
+  def size: Int = offsets.length - 1
+
+  /** Stored RR-set vertices Σ|R| — the RIS sample size of paper Table 1. */
+  def storedVertices: Long = members.length.toLong
+
+  /** Inverted index vertex → ids of the sets containing it, in CSR form
+    * `(vertexOffsets, setIds)`. Built by counting sort in set-id order, so
+    * every vertex's ids ascend; vertex v is in
+    * `vertexOffsets(v + 1) - vertexOffsets(v)` sets.
+    */
+  def invert(): (Array[Int], Array[Int]) = {
+    val vertexOffsets = new Array[Int](n + 1)
+    var j = 0
+    while (j < members.length) { vertexOffsets(members(j) + 1) += 1; j += 1 }
+    var v = 0
+    while (v < n) { vertexOffsets(v + 1) += vertexOffsets(v); v += 1 }
+    val pos = java.util.Arrays.copyOf(vertexOffsets, n)
+    val setIds = new Array[Int](members.length)
+    var i = 0
+    while (i < size) {
+      j = offsets(i)
+      while (j < offsets(i + 1)) {
+        val u = members(j)
+        setIds(pos(u)) = i
+        pos(u) += 1
+        j += 1
+      }
+      i += 1
+    }
+    (vertexOffsets, setIds)
+  }
+}
+
+object RRCollection {
+
+  /** Largest set count or stored-vertex count that Int offsets and JVM
+    * arrays can hold.
+    */
+  val MaxLength: Int = Int.MaxValue - 8
+
+  /** Draws `count` RR sets from `rng`, one after another, adding their
+    * traversal cost to `costs` — the PRNG draws of `count` calls to
+    * [[RRSets.generate]].
+    */
+  def generate(g: LocalGraph, count: Int, rng: SplittableRandom,
+               costs: Costs): RRCollection = {
+    require(count >= 0 && count <= MaxLength, s"RR-set count $count outside [0, $MaxLength]")
+    val scratch = new SimScratch(g.n)
+    val offsets = new Array[Int](count + 1)
+    var members = new Array[Int](math.max(16, count))
+    var len = 0
+    var i = 0
+    while (i < count) {
+      val size = RRSets.draw(g, rng, scratch, costs)
+      val total = len.toLong + size
+      require(total <= MaxLength, s"stored RR-set vertices $total exceed $MaxLength")
+      if (total > members.length)
+        members = java.util.Arrays.copyOf(members,
+          math.max(total, math.min(2L * members.length, MaxLength.toLong)).toInt)
+      System.arraycopy(scratch.queue, 0, members, len, size)
+      len = total.toInt
+      i += 1
+      offsets(i) = len
+    }
+    new RRCollection(g.n, offsets, java.util.Arrays.copyOf(members, len))
+  }
+
+  /** The sets of `parts` in order as one collection: set ids of each part
+    * follow those of the parts before it.
+    */
+  def concat(n: Int, parts: Seq[RRCollection]): RRCollection = {
+    val count = parts.map(_.size.toLong).sum
+    val stored = parts.map(_.storedVertices).sum
+    require(count <= MaxLength, s"RR-set count $count exceeds $MaxLength")
+    require(stored <= MaxLength, s"stored RR-set vertices $stored exceed $MaxLength")
+    val offsets = new Array[Int](count.toInt + 1)
+    val members = new Array[Int](stored.toInt)
+    var sets = 0
+    var len = 0
+    for (p <- parts) {
+      require(p.n == n, s"part on ${p.n} vertices, expected $n")
+      System.arraycopy(p.members, 0, members, len, p.members.length)
+      var i = 1
+      while (i <= p.size) { offsets(sets + i) = len + p.offsets(i); i += 1 }
+      sets += p.size
+      len += p.members.length
+    }
+    new RRCollection(n, offsets, members)
+  }
+}

@@ -20,14 +20,23 @@ object RRSets {
     * w(R) = Σ_{v∈R} d⁻(v).
     */
   def generate(g: LocalGraph, rng: SplittableRandom, scratch: SimScratch,
-               costs: Costs): Array[Int] = {
-    val z = rng.nextInt(g.n)
-    generateFor(g, z, rng, scratch, costs)
-  }
+               costs: Costs): Array[Int] =
+    java.util.Arrays.copyOf(scratch.queue, draw(g, rng, scratch, costs))
+
+  /** [[generate]] without the copy: the set is left in
+    * `scratch.queue(0 until len)` and `len` is returned.
+    */
+  def draw(g: LocalGraph, rng: SplittableRandom, scratch: SimScratch,
+           costs: Costs): Int =
+    search(g, rng.nextInt(g.n), rng, scratch, costs)
 
   /** Draws one RR set for the fixed target `z`. */
   def generateFor(g: LocalGraph, z: Int, rng: SplittableRandom,
-                  scratch: SimScratch, costs: Costs): Array[Int] = {
+                  scratch: SimScratch, costs: Costs): Array[Int] =
+    java.util.Arrays.copyOf(scratch.queue, search(g, z, rng, scratch, costs))
+
+  private def search(g: LocalGraph, z: Int, rng: SplittableRandom,
+                     scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
     scratch.visit(z)
     scratch.queue(0) = z
@@ -49,6 +58,6 @@ object RRSets {
         e += 1
       }
     }
-    java.util.Arrays.copyOf(scratch.queue, tail)
+    tail
   }
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.SplittableRandom
 import repro.graphs.LocalGraph
-import scala.collection.mutable.ArrayBuffer
 
 /** Naive RIS estimator (paper Algorithm 3.4, Reverse Influence Sampling).
   *
@@ -11,7 +10,8 @@ import scala.collection.mutable.ArrayBuffer
   * covered — i.e. the unbiased marginal-influence estimate; `Update(v)`
   * removes ("covers") every RR set containing the new seed, which is the
   * paper's Algorithm 3.4 line 8 implemented with coverage counts and an
-  * inverted vertex→RR-set index, the fast scheme of [7, Theorem 3.1].
+  * inverted vertex→RR-set index, the fast scheme of [7, Theorem 3.1]. The
+  * sets and the index are one [[RRCollection]].
   *
   * Traversal cost is incurred only by RR-set generation (§3.5.2): vertex
   * cost Σ|R|, edge cost Σ w(R). Estimate/Update are O(1)/O(coverage)
@@ -25,47 +25,36 @@ final class Ris(g: LocalGraph, theta: Int) extends InfluenceEstimator {
   require(theta >= 1, s"theta=$theta must be >= 1")
 
   private val costsAcc = new Costs
-  private val rr = new Array[Array[Int]](theta)
+  private var rr = new RRCollection(g.n, Array(0), Array.emptyIntArray)
+  private var index = rr.invert()                // v -> RR ids, CSR
   private val covered = new Array[Boolean](theta)
   private val cnt = new Array[Int](g.n)          // uncovered RR sets containing v
-  private val index = Array.fill(g.n)(new ArrayBuffer[Int]()) // v -> RR ids
-  private var storedVertices = 0L
 
   override def build(rng: SplittableRandom): Unit = {
-    val scratch = new SimScratch(g.n)
-    var i = 0
-    while (i < theta) {
-      val set = RRSets.generate(g, rng, scratch, costsAcc)
-      rr(i) = set
-      storedVertices += set.length
-      var j = 0
-      while (j < set.length) {
-        cnt(set(j)) += 1
-        index(set(j)) += i
-        j += 1
-      }
-      i += 1
-    }
+    rr = RRCollection.generate(g, theta, rng, costsAcc)
+    index = rr.invert()
+    val offsets = index._1
+    var v = 0
+    while (v < g.n) { cnt(v) = offsets(v + 1) - offsets(v); v += 1 }
   }
 
   override def estimate(v: Int, rng: SplittableRandom): Double =
     g.n.toDouble * cnt(v) / theta
 
   override def update(v: Int, rng: SplittableRandom): Unit = {
-    val ids = index(v)
-    var j = 0
-    while (j < ids.length) {
+    val (offsets, ids) = index
+    var j = offsets(v)
+    while (j < offsets(v + 1)) {
       val id = ids(j)
       if (!covered(id)) {
         covered(id) = true
-        val set = rr(id)
-        var t = 0
-        while (t < set.length) { cnt(set(t)) -= 1; t += 1 }
+        var t = rr.offsets(id)
+        while (t < rr.offsets(id + 1)) { cnt(rr.members(t)) -= 1; t += 1 }
       }
       j += 1
     }
   }
 
   override def costs: Costs = costsAcc
-  override def sampleSize: Long = storedVertices
+  override def sampleSize: Long = rr.storedVertices
 }

@@ -56,6 +56,12 @@ object Sweep {
       baseSeed: Long = 20200614L,
   )
 
+  /** `x` as an Int; fails, naming the value, instead of narrowing. */
+  private def toInt(what: String, x: Long): Int = {
+    require(x <= Int.MaxValue, s"$what=$x exceeds Int.MaxValue")
+    x.toInt
+  }
+
   /** 1, 2, 4, …, max (inclusive if max is a power of two). */
   def powersOfTwo(max: Long, min: Long = 1L): Seq[Long] =
     Iterator.iterate(1L)(_ * 2).takeWhile(_ <= max).filter(_ >= min).toSeq
@@ -65,7 +71,7 @@ object Sweep {
     * (`refTheta`). Returns the canonical seed-set key.
     */
   def referenceSeedSet(g: LocalGraph, k: Int, refTheta: Long, seed: Long): Seq[Int] = {
-    val est = new Ris(g, refTheta.toInt)
+    val est = new Ris(g, toInt("refTheta", refTheta))
     val rng = new SplittableRandom(seed)
     Greedy.run(g.n, k, est, rng).seeds.sorted.toSeq
   }
@@ -77,18 +83,19 @@ object Sweep {
           cfg: Config): Result = {
     require(oracle.g.n == g.n && oracle.g.m == g.m,
             "oracle must be built on the same influence graph")
-    val grids: Seq[(Alg, Seq[Long])] = Seq(
+    // Narrowed up front, so an oversized grid fails before any trial runs.
+    val grids: Seq[(Alg, Seq[Int])] = Seq(
       Alg.OneshotAlg -> powersOfTwo(cfg.oneshotMax),
       Alg.SnapshotAlg -> powersOfTwo(cfg.snapshotMax),
       Alg.RisAlg -> powersOfTwo(cfg.risMax, cfg.risMin),
-    )
+    ).map { case (alg, grid) => alg -> grid.map(s => toInt(s"${alg.name} sample number", s)) }
     val raw = for {
       (alg, grid) <- grids
       s <- grid
     } yield {
       val pointSeed = TrialRunner.mixSeed(cfg.baseSeed,
         (alg.name.hashCode.toLong << 32) ^ s)
-      val rows = TrialRunner.runCollect(spark, g, alg, s.toInt, k, cfg.trials, pointSeed)
+      val rows = TrialRunner.runCollect(spark, g, alg, s, k, cfg.trials, pointSeed)
       (alg, s, rows)
     }
     val refSet = referenceSeedSet(g, k, cfg.refTheta, cfg.baseSeed + 777)

@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.{col, desc}
 import repro.analysis.{ComparableRatio, InfluenceStats}
 import repro.graphs.{GraphFrames, LocalGraph, ProbModel}
 import repro.spark.{Alg, RRSetJob, TrialRunner}
@@ -23,15 +22,16 @@ object Tables {
   // ---------------------------------------------------------------- Table 4
 
   /** Table 4 row: top-`top` single-vertex influence spreads on one
-    * (network, probability model), estimated with the shared oracle.
+    * (network, probability model), estimated with the shared oracle. A
+    * singleton's estimate grows with the number of RR sets holding it, so
+    * vertices are ranked by inverted-list length, ties to the lower id.
     */
-  def table4Row(oracle: RRSetJob, top: Int = 3): Seq[Double] =
-    oracle.perVertexInfluence()
-      .orderBy(desc("influence"), col("vertex"))
-      .limit(top)
-      .collect()
-      .map(_.getDouble(1))
-      .toSeq
+  def table4Row(oracle: RRSetJob, top: Int = 3): Seq[Double] = {
+    val (offsets, _) = oracle.invertedIndex
+    val vs = (0 until oracle.g.n).sortBy(v => (offsets(v) - offsets(v + 1), v)).take(top)
+    val inf = oracle.influenceOfSets(vs.map(Seq(_)))
+    vs.map(v => inf(v.toString))
+  }
 
   // ---------------------------------------------------------------- Table 5
 

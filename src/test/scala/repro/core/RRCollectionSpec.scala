@@ -1,0 +1,48 @@
+package repro.core
+
+import java.util.SplittableRandom
+import org.scalatest.funsuite.AnyFunSuite
+import repro.graphs.{GraphGen, LocalGraph}
+
+class RRCollectionSpec extends AnyFunSuite {
+
+  private val g = GraphGen.karate().withProbs((_, _) => 0.3)
+
+  private def sets(c: RRCollection): Seq[Seq[Int]] =
+    (0 until c.size).map(i => c.members.slice(c.offsets(i), c.offsets(i + 1)).toSeq)
+
+  test("generate draws the sets and costs of repeated RRSets.generate") {
+    val costs = new Costs
+    val c = RRCollection.generate(g, 500, new SplittableRandom(3), costs)
+    val rng = new SplittableRandom(3)
+    val scratch = new SimScratch(g.n)
+    val refCosts = new Costs
+    val ref = Seq.fill(500)(RRSets.generate(g, rng, scratch, refCosts).toSeq)
+    assert(sets(c) == ref)
+    assert((costs.vertex, costs.edge) == (refCosts.vertex, refCosts.edge))
+    assert(c.storedVertices == ref.map(_.size).sum)
+  }
+
+  test("invert lists every set id, ascending, under each of its members") {
+    val c = RRCollection.generate(g, 300, new SplittableRandom(4), new Costs)
+    val (offsets, ids) = c.invert()
+    val byVertex = (0 until g.n).map(v => ids.slice(offsets(v), offsets(v + 1)).toSeq)
+    val expected = (0 until g.n).map(v => sets(c).indices.filter(i => sets(c)(i).contains(v)))
+    assert(byVertex == expected)
+  }
+
+  test("concat shifts each part's set ids past the parts before it") {
+    val a = RRCollection.generate(g, 7, new SplittableRandom(5), new Costs)
+    val b = RRCollection.generate(g, 0, new SplittableRandom(6), new Costs)
+    val c = RRCollection.generate(g, 11, new SplittableRandom(7), new Costs)
+    val all = RRCollection.concat(g.n, Seq(a, b, c))
+    assert(sets(all) == sets(a) ++ sets(c))
+    assert(all.storedVertices == a.storedVertices + c.storedVertices)
+  }
+
+  test("a count outside the Int offsets range is rejected") {
+    val tiny = LocalGraph.fromWeightedEdges(2, Seq((0, 1, 0.5)))
+    assertThrows[IllegalArgumentException](
+      RRCollection.generate(tiny, -1, new SplittableRandom(1), new Costs))
+  }
+}

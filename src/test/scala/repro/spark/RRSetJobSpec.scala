@@ -1,8 +1,9 @@
 package repro.spark
 
+import java.util.SplittableRandom
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.ExactInfluence
+import repro.core.{Costs, ExactInfluence, RRSets, SimScratch}
 import repro.graphs.{GraphGen, LocalGraph, ProbModel}
 
 class RRSetJobSpec extends SparkSpec {
@@ -11,23 +12,40 @@ class RRSetJobSpec extends SparkSpec {
     Seq((0, 1, 0.4), (1, 2, 0.7), (0, 3, 0.2), (3, 2, 0.9)))
   private lazy val tinyOracle = RRSetJob(spark, tiny, theta = 150000, seed = 1)
 
-  test("membership has schema (rr_id, vertex) and covers all rr ids") {
-    val df = tinyOracle.membership
-    assert(df.columns.toSeq == Seq("rr_id", "vertex"))
-    assert(df.select("rr_id").distinct().count() == 150000L)
+  /** Each vertex's RR-set ids, read from a CSR index. */
+  private def lists(index: (Array[Int], Array[Int])): Seq[Seq[Int]] = {
+    val (offsets, ids) = index
+    (0 until offsets.length - 1).map(v => ids.slice(offsets(v), offsets(v + 1)).toSeq)
+  }
+
+  test("inverted index equals a sequential build of the same seeded blocks") {
+    val block = RRSetJob.BlockSize
+    for (theta <- Seq(1000, 2 * block + 123)) {
+      val seed = 21L
+      val sets = (0 until (theta + block - 1) / block).flatMap { b =>
+        val rng = new SplittableRandom(TrialRunner.mixSeed(seed, b.toLong))
+        val scratch = new SimScratch(tiny.n)
+        val costs = new Costs
+        Seq.fill(math.min(block, theta - b * block))(
+          RRSets.generate(tiny, rng, scratch, costs).toSet)
+      }
+      val expected = (0 until tiny.n).map(v => sets.indices.filter(i => sets(i)(v)))
+      assert(lists(RRSetJob(spark, tiny, theta, seed).invertedIndex) == expected, s"theta=$theta")
+    }
   }
 
   test("every RR set contains at least its target (non-empty)") {
-    val sizes = tinyOracle.membership.groupBy("rr_id").agg(count("*") as "c")
-    assert(sizes.where(col("c") < 1).count() == 0)
+    val (_, ids) = tinyOracle.invertedIndex
+    val seen = new Array[Boolean](150000)
+    ids.foreach(id => seen(id) = true)
+    assert(seen.forall(identity))
   }
 
   test("per-vertex influence estimates match exact influence") {
-    val rows = tinyOracle.perVertexInfluence().collect()
-      .map(r => r.getInt(0) -> r.getDouble(1)).toMap
+    val inf = tinyOracle.influenceOfSets((0 until tiny.n).map(Seq(_)))
     (0 until tiny.n).foreach { v =>
       val exact = ExactInfluence.influence(tiny, Seq(v))
-      assert(math.abs(rows(v) - exact) < 0.08, s"v=$v got=${rows(v)} exact=$exact")
+      assert(math.abs(inf(v.toString) - exact) < 0.08, s"v=$v got=${inf(v.toString)} exact=$exact")
     }
   }
 
@@ -41,39 +59,26 @@ class RRSetJobSpec extends SparkSpec {
     }
   }
 
-  test("influenceOfSets (index kernel) agrees with influenceOf (SQL join)") {
-    import spark.implicits._
-    val small = new RRSetJob(spark, tiny, 3000, seed = 9)
-    val sets = Seq(Seq(0), Seq(1, 2), Seq(0, 3), Seq(2))
-    val fast = small.influenceOfSets(sets)
-    val exploded = sets.flatMap(s => s.map(v => (s.sorted.mkString(","), v)))
-      .toDF("set_key", "vertex")
-    val joined = small.influenceOf(exploded).collect()
-      .map(r => r.getString(0) -> r.getDouble(1)).toMap
-    assert(fast.keySet == joined.keySet)
-    fast.foreach { case (k, v) => assert(math.abs(v - joined(k)) < 1e-9, k) }
-    small.unpersist()
-  }
-
   test("influence of the full vertex set is exactly n") {
     val got = tinyOracle.influenceOfSets(Seq(Seq(0, 1, 2, 3)))
     assert(got("0,1,2,3") == 4.0)
   }
 
   test("generation is deterministic in the oracle seed") {
-    val a = new RRSetJob(spark, tiny, 500, seed = 5)
-    val b = new RRSetJob(spark, tiny, 500, seed = 5)
-    val ra = a.membership.collect().map(r => (r.getLong(0), r.getInt(1))).sorted.toSeq
-    val rb = b.membership.collect().map(r => (r.getLong(0), r.getInt(1))).sorted.toSeq
-    assert(ra == rb)
-    a.unpersist(); b.unpersist()
+    val a = lists(RRSetJob(spark, tiny, 5000, seed = 5).invertedIndex)
+    assert(lists(RRSetJob(spark, tiny, 5000, seed = 5).invertedIndex) == a)
+    assert(lists(RRSetJob(spark, tiny, 5000, seed = 6).invertedIndex) != a)
   }
 
   test("coverage counting agrees with DuckDB (oracle check of the join)") {
-    val small = new RRSetJob(spark, tiny, 2000, seed = 6)
     import spark.implicits._
+    val small = RRSetJob(spark, tiny, 2000, seed = 6)
+    val membership = lists(small.invertedIndex).zipWithIndex
+      .flatMap { case (ids, v) => ids.map(id => (id, v)) }
+      .toDF("rr_id", "vertex")
     val seedSets = Seq(("a", 0), ("b", 1), ("b", 3)).toDF("set_key", "vertex")
-    val sparkDf = small.influenceOf(seedSets)
+    val inf = small.influenceOfSets(Seq(Seq(0), Seq(1, 3)))
+    val sparkDf = Seq(("a", inf("0")), ("b", inf("1,3"))).toDF("set_key", "influence")
       .select(col("set_key"), round(col("influence"), 6) as "influence")
     Oracle.assertEquivalent(
       sparkDf,
@@ -83,29 +88,42 @@ class RRSetJobSpec extends SparkSpec {
          |LEFT JOIN seed_sets ss ON ss.set_key = s.set_key
          |LEFT JOIN membership m ON m.vertex = ss.vertex
          |GROUP BY s.set_key""".stripMargin,
-      "membership" -> small.membership,
+      "membership" -> membership,
       "seed_sets" -> seedSets,
     )
-    small.unpersist()
   }
 
   test("per-vertex estimates on Karate under UC0.1 are plausible") {
     val g = ProbModel.assign(GraphGen.karate(), ProbModel.uc01)
     val oracle = RRSetJob(spark, g, 100000, seed = 7)
-    val inf = oracle.perVertexInfluence().collect()
-      .map(r => r.getInt(0) -> r.getDouble(1)).toMap
+    val inf = oracle.influenceOfSets((0 until g.n).map(Seq(_)))
+      .map { case (k, v) => k.toInt -> v }
     // Every vertex influences at least itself and at most the graph.
     inf.values.foreach(v => assert(v >= 0.9 && v <= 34.0))
     // Hubs (0 and 33 in 0-indexed ids) beat the median vertex.
     val median = inf.values.toSeq.sorted.apply(17)
     assert(inf(0) > median && inf(33) > median)
-    oracle.unpersist()
   }
 
-  test("materialize returns the stored vertex count consistent with membership") {
-    val small = new RRSetJob(spark, tiny, 1000, seed = 8)
-    assert(small.materialize() == small.membership.count())
-    small.unpersist()
+  test("Table 4 ranks by RR-set count and reads values from influenceOfSets") {
+    val g = ProbModel.assign(GraphGen.karate(), ProbModel.uc01)
+    val oracle = RRSetJob(spark, g, 20000, seed = 8)
+    val (offsets, _) = oracle.invertedIndex
+    val top = repro.exp.Tables.table4Row(oracle, top = 5)
+    val best = (0 until g.n).maxBy(v => (offsets(v + 1) - offsets(v), -v))
+    assert(top.head == oracle.influenceOfSets(Seq(Seq(best)))(best.toString))
+    assert(top == top.sorted.reverse)
+  }
+
+  test("sizes beyond Int range fail loudly, naming the value") {
+    val e = intercept[IllegalArgumentException](RRSetJob(spark, tiny, 1L << 31, seed = 1))
+    assert(e.getMessage.contains("theta=2147483648"))
+    val r = intercept[IllegalArgumentException](
+      repro.exp.Sweep.referenceSeedSet(tiny, 1, 1L << 31, seed = 1))
+    assert(r.getMessage.contains("refTheta=2147483648"))
+    val s = intercept[IllegalArgumentException](repro.exp.Sweep.run(spark, tiny, tinyOracle, 1,
+      repro.exp.Sweep.Config(trials = 1, oneshotMax = 1, snapshotMax = 1, risMax = 1L << 31)))
+    assert(s.getMessage.contains("RIS sample number=2147483648"))
   }
 
   test("oracle on a mismatched graph is rejected by Sweep") {
