@@ -1,8 +1,5 @@
 package repro.analysis
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Influence-distribution diagnostics (paper §5.2): summary statistics per
   * sample number and the least sample number achieving 99%-probability
   * near-optimality.
@@ -24,17 +21,6 @@ object InfluenceStats {
     Summary(mean, math.sqrt(varr), pct(0.01), pct(0.50), pct(0.99),
             sorted.head, sorted.last)
   }
-
-  /** Spark SQL version: groups `df` by `sample_number` and reports mean,
-    * stddev_pop and exact percentiles of `influence` — Oracle-checkable.
-    */
-  def summaryBySampleNumber(df: DataFrame): DataFrame =
-    df.groupBy("sample_number").agg(
-      avg("influence") as "mean",
-      coalesce(stddev_pop(col("influence")), lit(0.0)) as "std",
-      expr("percentile(influence, 0.01)") as "p01",
-      expr("percentile(influence, 0.99)") as "p99",
-    ).orderBy("sample_number")
 
   /** The paper's near-optimality criterion (§5.2.1): a trial succeeds if
     * its influence is ≥ 0.95 × the Exact-Greedy reference. Returns the

@@ -1,8 +1,5 @@
 package repro.analysis
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Seed-set distribution diagnostics (paper §5.1).
   *
   * The diversity of the empirical seed-set distribution is its Shannon
@@ -11,20 +8,8 @@ import org.apache.spark.sql.functions._
   */
 object SeedSetStats {
 
-  /** One-row DataFrame (entropy) over a trials DataFrame with a `seed_key`
-    * column — pure Spark SQL so it can be Oracle-checked against DuckDB.
-    */
-  def entropyDf(trials: DataFrame): DataFrame = {
-    val t = trials.count().toDouble
-    trials.groupBy("seed_key").agg(count("*") as "cnt")
-      .agg(coalesce(-sum((col("cnt") / t) * log(2.0, col("cnt") / t)), lit(0.0)) as "entropy")
-  }
-
-  /** Shannon entropy in bits of the seed-set distribution. */
-  def entropyBits(trials: DataFrame): Double = entropyDf(trials).head().getDouble(0)
-
-  /** Local entropy over raw keys — the same statistic without a Spark
-    * round-trip, for drivers that already collected trial rows.
+  /** Shannon entropy in bits of the seed-set distribution given by the
+    * trials' seed-set keys; 0 for the empty sample.
     */
   def entropyOfKeys(keys: Seq[String]): Double = {
     if (keys.isEmpty) return 0.0

@@ -13,7 +13,10 @@ object Tables {
 
   // ---------------------------------------------------------------- Table 3
 
-  /** Table 3: network statistics for the given specs. */
+  /** Table 3: network statistics for the given specs, computed on the driver
+    * without a Spark job. `spark` is unused; it stays in the signature for
+    * callers outside this repository's library, such as the benchmark.
+    */
   def table3(spark: SparkSession, specs: Seq[NetworkSpec]): Seq[GraphFrames.NetworkStats] =
     specs.map { spec =>
       GraphFrames.networkStats(spark, spec.name, Instances.graph(spec), spec.withDistance)

@@ -111,46 +111,6 @@ object GraphGen {
     LocalGraph.fromEdges(n, edges)
   }
 
-  /** Holme–Kim powerlaw-cluster model: BA attachment where each step after
-    * the first is, with probability `triadP`, replaced by a "triad
-    * formation" step that links to a random neighbour of the previous
-    * target, creating a triangle. Produces scale-free graphs with tunable
-    * high clustering — the surrogate for the ca-GrQc collaboration network.
-    * Both orientations are emitted (collaboration networks are undirected).
-    */
-  def holmeKim(n: Int, bigM: Int, triadP: Double, seed: Long): LocalGraph = {
-    require(n > bigM && bigM >= 1)
-    val rng = new SplittableRandom(seed)
-    val endpoints = new ArrayBuffer[Int](2 * n * bigM)
-    val adj = Array.fill(n)(new ArrayBuffer[Int]())
-    val edges = new ArrayBuffer[(Int, Int)](n * bigM)
-    def connect(t: Int, v: Int): Unit = {
-      edges += ((t, v))
-      adj(t) += v; adj(v) += t
-      endpoints += t; endpoints += v
-    }
-    for (t <- bigM until n) {
-      val targets = scala.collection.mutable.Set.empty[Int]
-      var last = -1
-      val want = math.min(bigM, t)
-      var guard = 0
-      while (targets.size < want && guard < 200 * want) {
-        guard += 1
-        val viaTriad = last >= 0 && adj(last).nonEmpty && rng.nextDouble() < triadP
-        val cand =
-          if (viaTriad) adj(last)(rng.nextInt(adj(last).size))
-          else if (endpoints.isEmpty) rng.nextInt(t)
-          else endpoints(rng.nextInt(endpoints.size))
-        if (cand != t && !targets.contains(cand)) {
-          targets += cand
-          connect(t, cand)
-          last = cand
-        }
-      }
-    }
-    LocalGraph.fromEdges(n, edges.toSeq.flatMap { case (a, b) => Seq((a, b), (b, a)) })
-  }
-
   /** Clique-community graph: partitions vertices into random small cliques
     * (the co-authorship "paper" groups that give collaboration networks
     * their high clustering coefficient) and adds `extraEdges` inter-clique

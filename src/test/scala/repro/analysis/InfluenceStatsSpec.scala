@@ -1,6 +1,5 @@
 package repro.analysis
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 class InfluenceStatsSpec extends SparkSpec {
@@ -58,29 +57,20 @@ class InfluenceStatsSpec extends SparkSpec {
     assert(InfluenceStats.leastSampleNumber(Seq.empty, 1.0).isEmpty)
   }
 
-  test("summaryBySampleNumber groups and orders by sample number") {
-    val df = Seq((1L, 1.0), (1L, 3.0), (2L, 10.0), (2L, 10.0))
-      .toDF("sample_number", "influence")
-    val rows = InfluenceStats.summaryBySampleNumber(df).collect()
-    assert(rows.map(_.getLong(0)).toSeq == Seq(1L, 2L))
-    assert(rows(0).getDouble(1) == 2.0)
-    assert(rows(1).getDouble(1) == 10.0)
-    assert(rows(1).getDouble(2) == 0.0) // constant -> std 0
-  }
-
-  test("summaryBySampleNumber agrees with DuckDB on mean and std (oracle)") {
-    val df = Seq((1L, 1.0), (1L, 2.0), (1L, 6.0), (4L, 4.0), (4L, 8.0))
-      .toDF("sample_number", "influence")
-    val sparkDf = df.groupBy("sample_number").agg(
-      round(avg("influence"), 6) as "mean",
-      round(coalesce(stddev_pop(col("influence")), lit(0.0)), 6) as "std")
+  test("summarize agrees with DuckDB on mean and std (oracle)") {
+    val vals = Seq((1L, 1.0), (1L, 2.0), (1L, 6.0), (4L, 4.0), (4L, 8.0))
+    def round6(x: Double) = math.round(x * 1e6) / 1e6
+    val local = vals.groupBy(_._1).toSeq.map { case (s, rows) =>
+      val sum = InfluenceStats.summarize(rows.map(_._2))
+      (s, round6(sum.mean), round6(sum.std))
+    }.toDF("sample_number", "mean", "std")
     Oracle.assertEquivalent(
-      sparkDf,
+      local,
       """SELECT sample_number,
         |       ROUND(AVG(CAST(influence AS DOUBLE)), 6) AS mean,
         |       ROUND(COALESCE(STDDEV_POP(CAST(influence AS DOUBLE)), 0), 6) AS std
         |FROM vals GROUP BY sample_number""".stripMargin,
-      "vals" -> df,
+      "vals" -> vals.toDF("sample_number", "influence"),
     )
   }
 }

@@ -1,6 +1,5 @@
 package repro.analysis
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 class SeedSetStatsSpec extends SparkSpec {
@@ -8,14 +7,10 @@ class SeedSetStatsSpec extends SparkSpec {
 
   test("entropy of a degenerate distribution is 0") {
     assert(SeedSetStats.entropyOfKeys(Seq("a", "a", "a", "a")) == 0.0)
-    val df = Seq("a", "a", "a").toDF("seed_key")
-    assert(SeedSetStats.entropyBits(df) == 0.0)
   }
 
   test("entropy of a uniform two-point distribution is 1 bit") {
     assert(math.abs(SeedSetStats.entropyOfKeys(Seq("a", "b", "a", "b")) - 1.0) < 1e-12)
-    val df = Seq("a", "b", "a", "b").toDF("seed_key")
-    assert(math.abs(SeedSetStats.entropyBits(df) - 1.0) < 1e-12)
   }
 
   test("entropy of a uniform 8-point distribution is 3 bits") {
@@ -29,12 +24,6 @@ class SeedSetStatsSpec extends SparkSpec {
     assert(math.abs(SeedSetStats.entropyOfKeys(keys) - expected) < 1e-12)
   }
 
-  test("Spark entropy equals local entropy on a skewed distribution") {
-    val keys = Seq.fill(10)("x") ++ Seq.fill(5)("y") ++ Seq.fill(1)("z")
-    val df = keys.toDF("seed_key")
-    assert(math.abs(SeedSetStats.entropyBits(df) - SeedSetStats.entropyOfKeys(keys)) < 1e-12)
-  }
-
   test("entropy never exceeds log2 of the trial count") {
     val keys = (0 until 100).map(i => s"k${i % 37}")
     assert(SeedSetStats.entropyOfKeys(keys) <= math.log(100.0) / math.log(2.0) + 1e-12)
@@ -44,17 +33,15 @@ class SeedSetStatsSpec extends SparkSpec {
     assert(SeedSetStats.entropyOfKeys(Seq.empty) == 0.0)
   }
 
-  test("entropyDf agrees with DuckDB (oracle)") {
+  test("entropyOfKeys agrees with DuckDB (oracle)") {
     val keys = Seq.fill(6)("a") ++ Seq.fill(3)("b") ++ Seq.fill(1)("c")
-    val df = keys.toDF("seed_key")
-    val sparkDf = SeedSetStats.entropyDf(df)
-      .select(round(col("entropy"), 6) as "entropy")
+    val local = Seq(math.round(SeedSetStats.entropyOfKeys(keys) * 1e6) / 1e6).toDF("entropy")
     Oracle.assertEquivalent(
-      sparkDf,
+      local,
       """SELECT ROUND(-SUM(p * LOG2(p)), 6) AS entropy
         |FROM (SELECT COUNT(*) * 1.0 / (SELECT COUNT(*) FROM trials) AS p
         |      FROM trials GROUP BY seed_key)""".stripMargin,
-      "trials" -> df,
+      "trials" -> keys.toDF("seed_key"),
     )
   }
 

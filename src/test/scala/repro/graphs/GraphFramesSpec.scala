@@ -1,6 +1,9 @@
 package repro.graphs
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
+import repro.exp.{Instances, NetworkSpec, Tables}
 
 class GraphFramesSpec extends SparkSpec {
 
@@ -77,22 +80,25 @@ class GraphFramesSpec extends SparkSpec {
     assert(math.abs(cc - 0.26) < 0.02, s"cc=$cc")
   }
 
-  test("triangle count SQL agrees with DuckDB (oracle)") {
-    import org.apache.spark.sql.functions._
-    val und = karateEdges
-      .select(least(col("src"), col("dst")) as "a", greatest(col("src"), col("dst")) as "b")
-      .distinct()
-    val sparkTri = und.as("ab")
-      .join(und.as("bc"), col("ab.b") === col("bc.a"))
-      .join(und.as("ac"), col("ac.a") === col("ab.a") && col("ac.b") === col("bc.b"))
-      .agg(count("*") as "triangles")
+  test("clusteringCoefficient agrees with DuckDB 3·triangles/triplets (oracle)") {
+    import spark.implicits._
+    // Karate plus a self-loop and two duplicate edges, which the skeleton drops.
+    val messy = LocalGraph.fromEdges(karate.n,
+      karate.edges.map { case (u, v, _) => (u, v) } ++ Seq((0, 0), (0, 1), (5, 0)))
+    val edges = GraphFrames.edgesDf(spark, messy)
     Oracle.assertEquivalent(
-      sparkTri,
-      """WITH und AS (SELECT DISTINCT LEAST(src, dst) AS a, GREATEST(src, dst) AS b FROM edges)
-        |SELECT COUNT(*) AS triangles
-        |FROM und ab JOIN und bc ON ab.b = bc.a
-        |            JOIN und ac ON ac.a = ab.a AND ac.b = bc.b""".stripMargin,
-      "edges" -> karateEdges,
+      Seq(GraphFrames.clusteringCoefficient(spark, edges)).toDF("cc"),
+      """WITH und AS (SELECT DISTINCT LEAST(CAST(src AS INTEGER), CAST(dst AS INTEGER)) AS a,
+        |                            GREATEST(CAST(src AS INTEGER), CAST(dst AS INTEGER)) AS b
+        |             FROM edges WHERE src <> dst),
+        |     deg AS (SELECT v, COUNT(*) AS d
+        |             FROM (SELECT a AS v FROM und UNION ALL SELECT b AS v FROM und) GROUP BY v),
+        |     tri AS (SELECT COUNT(*) AS t
+        |             FROM und ab JOIN und bc ON ab.b = bc.a
+        |                         JOIN und ac ON ac.a = ab.a AND ac.b = bc.b)
+        |SELECT 3.0 * CAST((SELECT t FROM tri) AS DOUBLE)
+        |           / CAST((SELECT SUM(d * (d - 1) / 2) FROM deg) AS DOUBLE) AS cc""".stripMargin,
+      "edges" -> edges,
     )
   }
 
@@ -124,5 +130,82 @@ class GraphFramesSpec extends SparkSpec {
     assert(s.n == 34 && s.m == 156 && s.maxOut == 17 && s.maxIn == 17)
     assert(math.abs(s.clusteringCoef - 0.26) < 0.02)
     assert(math.abs(s.avgDistance - 2.41) < 0.05)
+  }
+
+  test("Table 3 row of an edgeless network: degrees 0, cc 0.0, distance NaN") {
+    val empty = LocalGraph.fromEdges(4, Seq.empty)
+    val spec = NetworkSpec("edgeless", starred = false, withDistance = true, () => empty)
+    val Seq(row) = Tables.table3(spark, Seq(spec))
+    val direct = GraphFrames.networkStats(spark, "edgeless", empty, withDistance = true)
+    for (s <- Seq(row, direct)) {
+      assert((s.n, s.m, s.maxOut, s.maxIn, s.clusteringCoef) == (4, 0, 0, 0, 0.0))
+      assert(s.avgDistance.isNaN)
+    }
+    val ext = GraphFrames.degreeExtremes(GraphFrames.edgesDf(spark, empty)).head()
+    assert((ext.getLong(0), ext.getLong(1)) == (0L, 0L))
+  }
+
+  test("skeleton, clustering and distance equal a Set-based brute force on random multigraphs") {
+    // Self-loops (u == v), duplicates and antiparallel copies, isolated vertices.
+    val multigraphGen: Gen[LocalGraph] = for {
+      n <- Gen.choose(1, 9)
+      k <- Gen.choose(0, 20)
+      pairs <- Gen.listOfN(k, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+      extra <- Gen.listOfN(k, Gen.choose(0, 2))
+    } yield LocalGraph.fromEdges(n, pairs ++ pairs.zip(extra).collect {
+      case ((u, v), 1) => (u, v)
+      case ((u, v), 2) => (v, u)
+    })
+    val prop = Prop.forAll(multigraphGen) { g =>
+      val (adj, cc, dist) = bruteForce(g)
+      val sk = GraphFrames.Skeleton(g)
+      val rows = (0 until g.n).map(v => sk.nbrs.slice(sk.offsets(v), sk.offsets(v + 1)).toSeq)
+      rows == adj.map(_.toSeq.sorted).toSeq &&
+        GraphFrames.clusteringCoefficient(sk) == cc &&
+        java.lang.Double.compare(GraphFrames.averageDistance(g), dist) == 0
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(org.scalacheck.rng.Seed(3L)), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** Undirected neighbour sets, clustering coefficient (all triples a < b < c)
+    * and average distance (Floyd–Warshall) of `g`'s simple skeleton.
+    */
+  private def bruteForce(g: LocalGraph): (Array[Set[Int]], Double, Double) = {
+    val adj = Array.fill(g.n)(Set.empty[Int])
+    g.edges.foreach { case (u, v, _) => if (u != v) { adj(u) += v; adj(v) += u } }
+    val triangles = (for (a <- 0 until g.n; b <- a + 1 until g.n; c <- b + 1 until g.n
+                          if adj(a)(b) && adj(b)(c) && adj(a)(c)) yield 1L).sum
+    val triplets = adj.map(s => s.size.toLong * (s.size - 1) / 2).sum
+    val cc = if (triplets == 0) 0.0 else 3.0 * triangles / triplets
+    val inf = Int.MaxValue / 2
+    val d = Array.tabulate(g.n, g.n)((u, v) => if (u == v) 0 else if (adj(u)(v)) 1 else inf)
+    for (k <- 0 until g.n; u <- 0 until g.n; v <- 0 until g.n)
+      d(u)(v) = math.min(d(u)(v), d(u)(k) + d(k)(v))
+    val connected = for (u <- 0 until g.n; v <- 0 until g.n if u != v && d(u)(v) < inf)
+      yield d(u)(v).toLong
+    val dist = if (connected.isEmpty) Double.NaN else connected.sum.toDouble / connected.size
+    (adj, cc, dist)
+  }
+
+  test("Table 3 of all eight networks starts no Spark job") {
+    val sc = spark.sparkContext
+    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      Tables.table3(spark, Instances.all)
+      // Listener events arrive in order, so once the marker job's start is
+      // seen, every job Table 3 started has been seen too.
+      sc.setJobGroup("table3-marker", "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!groups.contains("table3-marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(groups.toArray.toSeq == Seq("table3-marker"))
+    } finally sc.removeSparkListener(listener)
   }
 }

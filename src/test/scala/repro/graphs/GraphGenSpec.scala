@@ -89,27 +89,6 @@ class GraphGenSpec extends AnyFunSuite {
     assert(g.m == 2 * 2 * (500 - 2))
   }
 
-  test("holmeKim is symmetric and near the BA edge count") {
-    val g = GraphGen.holmeKim(1000, 3, triadP = 0.8, seed = 9)
-    assert(g.n == 1000)
-    val e = g.edges.map { case (u, v, _) => (u, v) }.toSet
-    e.foreach { case (u, v) => assert(e.contains((v, u))) }
-    // Guarded attachment may drop a few edges; must stay close to 2·M(n−M).
-    assert(g.m <= 2 * 3 * (1000 - 3))
-    assert(g.m >= (2 * 3 * (1000 - 3) * 0.95).toInt)
-  }
-
-  test("holmeKim has many triangles (clustered)") {
-    val g = GraphGen.holmeKim(800, 3, triadP = 0.9, seed = 10)
-    val und = g.edges.map { case (u, v, _) => (math.min(u, v), math.max(u, v)) }.toSet
-    val adj = Array.fill(800)(Set.empty[Int])
-    und.foreach { case (a, b) => adj(a) += b; adj(b) += a }
-    var triangles = 0L
-    und.foreach { case (a, b) => triangles += (adj(a) & adj(b)).size }
-    triangles /= 3
-    assert(triangles > 500, s"triangles=$triangles")
-  }
-
   test("cliqueCommunity is symmetric with no loops or duplicates") {
     val g = GraphGen.cliqueCommunity(300, 3, 6, extraEdges = 250, seed = 21)
     assert(g.n == 300)
