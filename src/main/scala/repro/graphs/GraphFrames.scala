@@ -127,7 +127,10 @@ object GraphFrames {
         var i = offsets(u)
         while (i < offsets(u + 1)) {
           val w = nbrs(i); i += 1
-          if (dist(w) < 0) { dist(w) = dist(u) + 1; queue(tail) = w; tail += 1; totalDist += dist(w) }
+          if (dist(w) < 0) {
+            dist(w) = dist(u) + 1; totalDist += dist(w)
+            queue(tail) = w; tail += 1
+          }
         }
       }
       pairs += tail - 1
