@@ -11,11 +11,7 @@ class Table3NetworkStatsBench extends SparkSpec {
   private lazy val stats = Tables.table3(spark, Instances.all)
 
   test("print Table 3 rows") {
-    println("[table3] network          n          m   maxOut    maxIn  clusCoef  avgDist")
-    stats.foreach { s =>
-      val avg = if (s.avgDistance.isNaN) "-" else f"${s.avgDistance}%.2f"
-      println(f"[table3] ${s.name}%-14s ${s.n}%8d ${s.m}%10d ${s.maxOut}%8d ${s.maxIn}%8d ${s.clusteringCoef}%9.2f $avg%8s")
-    }
+    Tables.table3Lines(stats).foreach(println)
     assert(stats.size == 8)
   }
 

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BenchPlan, SweepStore, Tables}
+import repro.exp.{BenchPlan, Tables}
 import repro.spark.Alg
 
 /** Reproduces paper Table 5: least sample number (log₂) and entropy at
@@ -9,25 +9,13 @@ import repro.spark.Alg
   */
 class Table5LeastSampleBench extends SparkSpec {
 
-  private lazy val rows = BenchPlan.sweepRows.filterNot(_.network.starred)
+  private lazy val table = Tables.table5(spark, BenchPlan.sweepRows)
 
   private lazy val cells: Seq[(String, String, Int, Map[String, Option[Tables.LeastSample]])] =
-    rows.map { row =>
-      val sweep = SweepStore.sweep(spark, row)
-      val m = Seq(Alg.OneshotAlg, Alg.SnapshotAlg, Alg.RisAlg)
-        .map(a => a.name -> Tables.table5Cell(sweep, a)).toMap
-      (row.network.name, row.model.name, row.k, m)
-    }
+    table.map(r => (r.network, r.model, r.k, Alg.all.map(a => a.name -> r.reached(a)).toMap))
 
   test("print Table 5 rows") {
-    println("[table5] network        prob     k | lg b*    H* | lg t*    H* | lg th*   H*")
-    cells.foreach { case (net, model, k, m) =>
-      def c(alg: String) = m(alg) match {
-        case Some(ls) => f"${ls.log2SampleNumber}%5d ${ls.entropy}%5.2f"
-        case None     => f"${">max"}%5s ${"-"}%5s"
-      }
-      println(f"[table5] $net%-14s $model%-7s $k%2d | ${c("Oneshot")} | ${c("Snapshot")} | ${c("RIS")}")
-    }
+    Tables.table5Lines(table).foreach(println)
     assert(cells.nonEmpty)
   }
 

@@ -1,29 +1,22 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BenchPlan, SweepStore, Tables}
+import repro.exp.{BenchPlan, Tables}
 
 /** Reproduces paper Table 7: median comparable number and size ratios of
   * RIS to Snapshot — "Snapshot requires fewer but larger samples than RIS".
   */
 class Table7RisVsSnapshotBench extends SparkSpec {
 
+  private lazy val rows = Tables.table7(spark, BenchPlan.sweepRows)
+
   private lazy val cells: Map[(String, String, Int), (Option[Double], Option[Double])] =
-    BenchPlan.sweepRows.map { row =>
-      (row.network.name, row.model.name, row.k) ->
-        Tables.table7Cell(SweepStore.sweep(spark, row))
+    rows.flatMap { r =>
+      Tables.models.indices.map(i => (r.network, Tables.models(i).name, r.k) -> (r.numbers(i), r.sizes(i)))
     }.toMap
 
   test("print Table 7 rows") {
-    val keys = BenchPlan.sweepRows.map(r => (r.network.name, r.k)).distinct
-    val models = Seq("UC0.1", "UC0.01", "IWC", "OWC")
-    println("[table7] network         k |   number ratio (UC0.1 UC0.01 IWC OWC) |   size ratio (UC0.1 UC0.01 IWC OWC)")
-    keys.foreach { case (net, k) =>
-      val c = models.map(m => cells.getOrElse((net, m, k), (None, None)))
-      val nums = c.map(p => Tables.fmtOpt(p._1)).mkString(" ")
-      val sizes = c.map(p => p._2.map(v => f"$v%.4g").getOrElse("-")).mkString(" ")
-      println(f"[table7] $net%-14s $k%2d | $nums | $sizes")
-    }
+    Tables.table7Lines(rows).foreach(println)
     assert(cells.nonEmpty)
   }
 

@@ -2,31 +2,19 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.{BenchPlan, Instances, Tables}
-import repro.spark.Alg
 
 /** Reproduces paper Table 8: average per-sample traversal cost (vertex and
   * edge counts) at k = 1 and sample number 1.
   */
 class Table8TraversalCostBench extends SparkSpec {
 
-  private lazy val cells: Map[(String, String, String), Tables.PerSampleCost] = {
-    val out = for {
-      row <- BenchPlan.table8Rows
-      alg <- if (row.withOneshot) Alg.all else Seq(Alg.SnapshotAlg, Alg.RisAlg)
-      model <- row.models
-    } yield {
-      val g = Instances.influenceGraph(row.network, model)
-      (row.network.name, alg.name, model.name) ->
-        Tables.table8Cell(spark, g, alg, row.trials)
-    }
-    out.toMap
-  }
+  private lazy val table = Tables.table8(spark, BenchPlan.table8Rows)
+
+  private lazy val cells: Map[(String, String, String), Tables.PerSampleCost] =
+    table.map(r => (r.network, r.alg, r.model) -> r.cost).toMap
 
   test("print Table 8 rows") {
-    println("[table8] network        alg       model        vertex          edge")
-    cells.toSeq.sortBy(_._1.toString).foreach { case ((net, alg, model), c) =>
-      println(f"[table8] $net%-14s $alg%-9s $model%-7s ${c.vertex}%13.1f ${c.edge}%13.1f")
-    }
+    Tables.table8Lines(table).foreach(println)
     assert(cells.nonEmpty)
   }
 

@@ -1,47 +1,23 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BenchPlan, Instances, SweepStore, Tables}
-import repro.spark.Alg
+import repro.exp.{BenchPlan, Tables}
 
 /** Reproduces paper Table 9: traversal cost at k = 1 in γ units when the
   * three algorithms are conditioned to identical accuracy.
   */
 class Table9ConditionedCostBench extends SparkSpec {
 
+  private lazy val table = Tables.table9(spark, BenchPlan.table9Networks, BenchPlan.table8Rows,
+                                         BenchPlan.sweepRows)
+
   /** cost cells: (network, alg, model) -> γ-cost. */
-  private lazy val cells: Map[(String, String, String), Option[Double]] = {
-    val out = for {
-      net <- BenchPlan.table9Networks
-      t8 = BenchPlan.table8Rows.find(_.network.name == net.name).get
-      alg <- if (t8.withOneshot) Alg.all else Seq(Alg.SnapshotAlg, Alg.RisAlg)
-      model <- t8.models
-    } yield {
-      val cell = BenchPlan.sweepRow(net.name, model.name, 1).flatMap { row =>
-        val sweep = SweepStore.sweep(spark, row)
-        val ratioOpt = alg match {
-          case Alg.SnapshotAlg => Some(1.0)
-          case Alg.OneshotAlg  => Tables.table6Cell(sweep)
-          case Alg.RisAlg      => Tables.table7Cell(sweep)._1
-        }
-        ratioOpt.map { ratio =>
-          val g = Instances.influenceGraph(net, model)
-          Tables.table9Cell(Tables.table8Cell(spark, g, alg, t8.trials), ratio)
-        }
-      }
-      (net.name, alg.name, model.name) -> cell
-    }
-    out.toMap
-  }
+  private lazy val cells: Map[(String, String, String), Option[Double]] =
+    table.flatMap(r => Tables.models.zip(r.costs).map { case (m, c) => (r.network, r.alg, m.name) -> c })
+      .toMap
 
   test("print Table 9 rows") {
-    println("[table9] network        alg           UC0.1        UC0.01           IWC           OWC")
-    val keys = cells.keySet.map(k => (k._1, k._2)).toSeq.sorted
-    keys.foreach { case (net, alg) =>
-      val c = Seq("UC0.1", "UC0.01", "IWC", "OWC")
-        .map(m => cells.getOrElse((net, alg, m), None).map(Tables.fmt).getOrElse("-"))
-      println(f"[table9] $net%-14s $alg%-9s ${c(0)}%13s ${c(1)}%13s ${c(2)}%13s ${c(3)}%13s")
-    }
+    Tables.table9Lines(table).foreach(println)
     assert(cells.nonEmpty)
   }
 

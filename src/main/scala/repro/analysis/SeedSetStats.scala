@@ -19,11 +19,4 @@ object SeedSetStats {
       .map(p => -p * math.log(p) / math.log(2.0))
       .sum
   }
-
-  /** Modal seed-set key and its empirical probability. */
-  def mode(keys: Seq[String]): (String, Double) = {
-    require(keys.nonEmpty)
-    val (k, c) = keys.groupBy(identity).view.mapValues(_.size).maxBy(_._2)
-    (k, c.toDouble / keys.size)
-  }
 }

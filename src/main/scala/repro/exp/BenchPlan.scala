@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.graphs.ProbModel
-import repro.spark.RRSetJob
+import repro.spark.{Alg, RRSetJob}
 import scala.collection.concurrent.TrieMap
 
 /** One sweep row: (network, probability model, seed size) plus the scaled
@@ -15,7 +15,9 @@ final case class SweepRow(network: NetworkSpec, model: ProbModel, k: Int,
   def id: String = s"${network.name}/${model.name}/k=$k"
 }
 
-/** The scoped experiment plan shared by `jobs/` and `bench/`. */
+/** The scoped experiment plan: the rows `Tables` tabulates for `Main` and
+  * the `bench/` suites.
+  */
 object BenchPlan {
 
   import Instances._
@@ -27,6 +29,9 @@ object BenchPlan {
 
   private val allModels = ProbModel.all
   private val cheapModels = Seq(ProbModel.uc001, ProbModel.IWC, ProbModel.OWC)
+
+  /** Networks of the paper's Table 4. */
+  val table4Networks: Seq[NetworkSpec] = Seq(baS, baD)
 
   /** Sweep rows behind Tables 5, 6, 7 and 9.
     *
@@ -91,7 +96,9 @@ object BenchPlan {
     * runs no Oneshot at all on the large ones.
     */
   final case class Table8Row(network: NetworkSpec, models: Seq[ProbModel],
-                             withOneshot: Boolean, trials: Int)
+                             withOneshot: Boolean, trials: Int) {
+    def algs: Seq[Alg] = if (withOneshot) Alg.all else Seq(Alg.SnapshotAlg, Alg.RisAlg)
+  }
 
   val table8Rows: Seq[Table8Row] = Seq(
     Table8Row(karate, allModels, withOneshot = true, trials = 200),
@@ -115,12 +122,13 @@ object BenchPlan {
     if (Instances.graph(spec).n >= 10000) 500000L else 300000L
 }
 
-/** Process-wide caches so the table suites (which share sweep rows) compute
-  * each sweep and each oracle exactly once per JVM.
+/** Process-wide caches so the tables (which share sweep rows and Table 8
+  * cells) compute each oracle, sweep and per-sample cost once per JVM.
   */
 object SweepStore {
   private val oracles = TrieMap.empty[(String, String), RRSetJob]
-  private val sweeps = TrieMap.empty[String, Sweep.Result]
+  private val sweeps = TrieMap.empty[SweepRow, Sweep.Result]
+  private val costs = TrieMap.empty[(String, String, String, Int), Tables.PerSampleCost]
 
   /** Shared RR-set oracle for one (network, model) influence graph. */
   def oracle(spark: SparkSession, spec: NetworkSpec, model: ProbModel): RRSetJob =
@@ -131,8 +139,16 @@ object SweepStore {
 
   /** Sweep result for one plan row, computed on first request. */
   def sweep(spark: SparkSession, row: SweepRow): Sweep.Result =
-    sweeps.getOrElseUpdate(row.id, {
+    sweeps.getOrElseUpdate(row, {
       val g = Instances.influenceGraph(row.network, row.model)
       Sweep.run(spark, g, oracle(spark, row.network, row.model), row.k, row.cfg)
     })
+
+  /** Table 8 per-sample cost of one (network, model, alg) over `trials`
+    * trials, computed on first request; Table 9 reads the same cells.
+    */
+  def perSampleCost(spark: SparkSession, spec: NetworkSpec, model: ProbModel, alg: Alg,
+                    trials: Int): Tables.PerSampleCost =
+    costs.getOrElseUpdate((spec.name, model.name, alg.name, trials),
+      Tables.table8Cell(spark, Instances.influenceGraph(spec, model), alg, trials))
 }

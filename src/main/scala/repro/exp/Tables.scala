@@ -5,11 +5,25 @@ import repro.analysis.{ComparableRatio, InfluenceStats}
 import repro.graphs.{GraphFrames, LocalGraph, ProbModel}
 import repro.spark.{Alg, RRSetJob, TrialRunner}
 
-/** Row computations for every evaluation table of the paper (Tables 3–9).
-  * The `jobs/` entrypoints and the `bench/` suites both call these, so the
-  * printed rows come from a single implementation.
+/** Every evaluation table of the paper (Tables 3–9): one function per table
+  * that takes the plan rows it tabulates and returns typed rows in print
+  * order, and one `tableNLines` renderer of the `[tableN]` header and rows.
+  * `Main` and the `bench/` suites both call these, so each printed row comes
+  * from a single implementation.
   */
 object Tables {
+
+  /** The rendered lines of paper Table `table` (3–9) on the full plan. */
+  def lines(spark: SparkSession, table: Int): Seq[String] = table match {
+    case 3 => table3Lines(table3(spark, Instances.all))
+    case 4 => table4Lines(table4(spark, BenchPlan.table4Networks))
+    case 5 => table5Lines(table5(spark, BenchPlan.sweepRows))
+    case 6 => table6Lines(table6(spark, BenchPlan.sweepRows))
+    case 7 => table7Lines(table7(spark, BenchPlan.sweepRows))
+    case 8 => table8Lines(table8(spark, BenchPlan.table8Rows))
+    case 9 => table9Lines(table9(spark, BenchPlan.table9Networks, BenchPlan.table8Rows,
+                                 BenchPlan.sweepRows))
+  }
 
   // ---------------------------------------------------------------- Table 3
 
@@ -21,6 +35,13 @@ object Tables {
     specs.map { spec =>
       GraphFrames.networkStats(spark, spec.name, Instances.graph(spec), spec.withDistance)
     }
+
+  def table3Lines(rows: Seq[GraphFrames.NetworkStats]): Seq[String] =
+    "[table3] network          n          m   maxOut    maxIn  clusCoef  avgDist" +:
+      rows.map { s =>
+        val avg = if (s.avgDistance.isNaN) "-" else f"${s.avgDistance}%.2f"
+        f"[table3] ${s.name}%-14s ${s.n}%8d ${s.m}%10d ${s.maxOut}%8d ${s.maxIn}%8d ${s.clusteringCoef}%9.2f $avg%8s"
+      }
 
   // ---------------------------------------------------------------- Table 4
 
@@ -36,15 +57,39 @@ object Tables {
     vs.map(v => inf(v.toString))
   }
 
+  /** One Table 4 row: the top-3 singleton influences of one (network, model). */
+  final case class TopInfluence(network: String, model: String, top: Seq[Double])
+
+  /** Table 4 on `specs` × all models from the shared oracles, in (network,
+    * model) name order.
+    */
+  def table4(spark: SparkSession, specs: Seq[NetworkSpec]): Seq[TopInfluence] =
+    (for (spec <- specs; model <- models)
+      yield TopInfluence(spec.name, model.name, table4Row(SweepStore.oracle(spark, spec, model))))
+      .sortBy(r => (r.network, r.model))
+
+  def table4Lines(rows: Seq[TopInfluence]): Seq[String] =
+    "[table4] network  model    Inf(v1)    Inf(v2)    Inf(v3)" +:
+      rows.map { r =>
+        f"[table4] ${r.network}%-8s ${r.model}%-7s ${r.top(0)}%9.4f ${r.top(1)}%9.4f ${r.top(2)}%9.4f"
+      }
+
   // ---------------------------------------------------------------- Table 5
 
-  /** Table 5 cell for one algorithm: log₂ of the least sample number s*
-    * whose trials are ≥ 0.95 × reference with probability ≥ 0.99, plus the
-    * seed-set entropy H* at s*. None when no grid point qualifies (the
-    * paper's "> max" cells).
+  /** One algorithm's Table 5 cell: not run on the row (its grid maximum is
+    * 0, the paper's "-"), run without reaching near-optimality on its grid
+    * (the paper's "> max"), or the least sample number reached.
     */
-  final case class LeastSample(log2SampleNumber: Int, entropy: Double)
+  sealed trait Table5Cell
+  case object NotRun extends Table5Cell
+  case object AboveMax extends Table5Cell
 
+  /** log₂ of the least sample number s* whose trials are ≥ 0.95 × reference
+    * with probability ≥ 0.99, plus the seed-set entropy H* at s*.
+    */
+  final case class LeastSample(log2SampleNumber: Int, entropy: Double) extends Table5Cell
+
+  /** The least sample of `alg` on `sweep`; None when no grid point qualifies. */
   def table5Cell(sweep: Sweep.Result, alg: Alg): Option[LeastSample] = {
     val curve = sweep.curve(alg).map(p => p.sampleNumber -> p.influences)
     InfluenceStats.leastSampleNumber(curve, sweep.referenceInfluence).map { s =>
@@ -53,12 +98,67 @@ object Tables {
     }
   }
 
+  /** The Table 5 cell of `alg` on `sweep`: NotRun when it has no grid point. */
+  def leastSample(sweep: Sweep.Result, alg: Alg): Table5Cell =
+    if (sweep.curve(alg).isEmpty) NotRun else table5Cell(sweep, alg).getOrElse(AboveMax)
+
+  /** One Table 5 row; `cells` follow `Alg.all` (Oneshot, Snapshot, RIS). */
+  final case class LeastSampleRow(network: String, model: String, k: Int,
+                                  cells: Seq[Table5Cell]) {
+    def reached(alg: Alg): Option[LeastSample] =
+      cells(Alg.all.indexOf(alg)) match {
+        case l: LeastSample => Some(l)
+        case _              => None
+      }
+  }
+
+  /** Table 5 on the unstarred `rows`, in plan order. */
+  def table5(spark: SparkSession, rows: Seq[SweepRow]): Seq[LeastSampleRow] =
+    rows.filterNot(_.network.starred).map { row =>
+      val sweep = SweepStore.sweep(spark, row)
+      LeastSampleRow(row.network.name, row.model.name, row.k, Alg.all.map(leastSample(sweep, _)))
+    }
+
+  def table5Lines(rows: Seq[LeastSampleRow]): Seq[String] =
+    "[table5] network        prob     k | lg b*    H* | lg t*    H* | lg th*   H*" +:
+      rows.map { r =>
+        val cells = r.cells.map {
+          case LeastSample(lg, h) => f"$lg%5d $h%5.2f"
+          case AboveMax           => f"${">max"}%5s ${"-"}%5s"
+          case NotRun             => f"${"-"}%5s ${"-"}%5s"
+        }
+        f"[table5] ${r.network}%-14s ${r.model}%-7s ${r.k}%2d | ${cells.mkString(" | ")}"
+      }
+
   // ------------------------------------------------------------ Tables 6, 7
+
+  /** One entry per (network, k) of `rows`, in plan order, with `cell` of
+    * the row of each model in `models` order (None where there is no row).
+    */
+  private def perModel[A](rows: Seq[SweepRow])(cell: SweepRow => A): Seq[(String, Int, Seq[Option[A]])] =
+    rows.map(r => (r.network.name, r.k)).distinct.map { case (net, k) =>
+      (net, k, models.map(m => rows.find(r => r.network.name == net && r.model == m && r.k == k).map(cell)))
+    }
 
   /** Table 6 cell: median comparable number ratio of Oneshot to Snapshot. */
   def table6Cell(sweep: Sweep.Result): Option[Double] =
     ComparableRatio.medianOpt(ComparableRatio.numberRatios(
       sweep.ratioCurve(Alg.SnapshotAlg), sweep.ratioCurve(Alg.OneshotAlg)))
+
+  /** One Table 6 row: the ratio per model, in `models` order. */
+  final case class OneshotRatioRow(network: String, k: Int, ratios: Seq[Option[Double]])
+
+  /** Table 6 on the `rows` that run Oneshot. */
+  def table6(spark: SparkSession, rows: Seq[SweepRow]): Seq[OneshotRatioRow] =
+    perModel(rows.filter(_.cfg.oneshotMax > 0))(r => table6Cell(SweepStore.sweep(spark, r)))
+      .map { case (net, k, cells) => OneshotRatioRow(net, k, cells.map(_.flatten)) }
+
+  def table6Lines(rows: Seq[OneshotRatioRow]): Seq[String] =
+    "[table6] network         k    UC0.1   UC0.01      IWC      OWC" +:
+      rows.map { r =>
+        val c = r.ratios.map(fmtOpt)
+        f"[table6] ${r.network}%-14s ${r.k}%2d ${c(0)}%8s ${c(1)}%8s ${c(2)}%8s ${c(3)}%8s"
+      }
 
   /** Table 7 cells: median comparable (number, size) ratios of RIS to
     * Snapshot.
@@ -69,6 +169,24 @@ object Tables {
     (ComparableRatio.medianOpt(ComparableRatio.numberRatios(base, target)),
      ComparableRatio.medianOpt(ComparableRatio.sizeRatios(base, target)))
   }
+
+  /** One Table 7 row: number and size ratios per model, in `models` order. */
+  final case class RisRatioRow(network: String, k: Int, numbers: Seq[Option[Double]],
+                               sizes: Seq[Option[Double]])
+
+  def table7(spark: SparkSession, rows: Seq[SweepRow]): Seq[RisRatioRow] =
+    perModel(rows)(r => table7Cell(SweepStore.sweep(spark, r))).map { case (net, k, cells) =>
+      val c = cells.map(_.getOrElse((None, None)))
+      RisRatioRow(net, k, c.map(_._1), c.map(_._2))
+    }
+
+  def table7Lines(rows: Seq[RisRatioRow]): Seq[String] =
+    "[table7] network         k |   number ratio (UC0.1 UC0.01 IWC OWC) |   size ratio (UC0.1 UC0.01 IWC OWC)" +:
+      rows.map { r =>
+        val nums = r.numbers.map(fmtOpt).mkString(" ")
+        val sizes = r.sizes.map(_.map(v => f"$v%.4g").getOrElse("-")).mkString(" ")
+        f"[table7] ${r.network}%-14s ${r.k}%2d | $nums | $sizes"
+      }
 
   // ---------------------------------------------------------------- Table 8
 
@@ -87,6 +205,23 @@ object Tables {
                   rows.map(_.edge_cost.toDouble).sum / rows.size)
   }
 
+  /** One Table 8 row: the per-sample cost of one (network, alg, model). */
+  final case class TraversalCost(network: String, alg: String, model: String,
+                                 cost: PerSampleCost)
+
+  /** Table 8 on `rows`, in (network, alg, model) name order. */
+  def table8(spark: SparkSession, rows: Seq[BenchPlan.Table8Row]): Seq[TraversalCost] =
+    (for (row <- rows; alg <- row.algs; model <- row.models)
+      yield TraversalCost(row.network.name, alg.name, model.name,
+                          SweepStore.perSampleCost(spark, row.network, model, alg, row.trials)))
+      .sortBy(c => (c.network, c.alg, c.model))
+
+  def table8Lines(rows: Seq[TraversalCost]): Seq[String] =
+    "[table8] network        alg       model        vertex          edge" +:
+      rows.map { r =>
+        f"[table8] ${r.network}%-14s ${r.alg}%-9s ${r.model}%-7s ${r.cost.vertex}%13.1f ${r.cost.edge}%13.1f"
+      }
+
   // ---------------------------------------------------------------- Table 9
 
   /** Table 9 cell: traversal cost (vertex + edge, in γ units) at k = 1 when
@@ -96,6 +231,42 @@ object Tables {
     */
   def table9Cell(perSample: PerSampleCost, comparableRatio: Double): Double =
     perSample.total * comparableRatio
+
+  /** One Table 9 row: the cost of one (network, alg) per model, in `models`
+    * order; None where the model is not in the network's Table 8 row, there
+    * is no k = 1 sweep row, or the comparable ratio is undefined.
+    */
+  final case class ConditionedCost(network: String, alg: String, costs: Seq[Option[Double]])
+
+  /** Table 9 on `networks`, reading the per-sample costs of `costRows` (the
+    * Table 8 cells) and the comparable ratios of the k = 1 `sweepRows`, in
+    * (network, alg) name order.
+    */
+  def table9(spark: SparkSession, networks: Seq[NetworkSpec],
+             costRows: Seq[BenchPlan.Table8Row], sweepRows: Seq[SweepRow]): Seq[ConditionedCost] =
+    (for {
+      net <- networks
+      t8 = costRows.find(_.network.name == net.name).get
+      alg <- t8.algs
+    } yield ConditionedCost(net.name, alg.name, models.map { model =>
+      for {
+        row <- sweepRows.find(r => r.network.name == net.name && r.model == model && r.k == 1)
+        if t8.models.contains(model)
+        sweep = SweepStore.sweep(spark, row)
+        ratio <- alg match {
+          case Alg.SnapshotAlg => Some(1.0)
+          case Alg.OneshotAlg  => table6Cell(sweep)
+          case Alg.RisAlg      => table7Cell(sweep)._1
+        }
+      } yield table9Cell(SweepStore.perSampleCost(spark, net, model, alg, t8.trials), ratio)
+    })).sortBy(r => (r.network, r.alg))
+
+  def table9Lines(rows: Seq[ConditionedCost]): Seq[String] =
+    "[table9] network        alg           UC0.1        UC0.01           IWC           OWC" +:
+      rows.map { r =>
+        val c = r.costs.map(fmtOpt)
+        f"[table9] ${r.network}%-14s ${r.alg}%-9s ${c(0)}%13s ${c(1)}%13s ${c(2)}%13s ${c(3)}%13s"
+      }
 
   // ------------------------------------------------------------- formatting
 

@@ -1,33 +1,8 @@
 package repro.analysis
 
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
 
-class InfluenceStatsSpec extends SparkSpec {
-  import spark.implicits._
-
-  test("summarize of a constant sample") {
-    val s = InfluenceStats.summarize(Seq(5.0, 5.0, 5.0))
-    assert(s.mean == 5.0 && s.std == 0.0 && s.p01 == 5.0 && s.p99 == 5.0)
-    assert(s.min == 5.0 && s.max == 5.0)
-  }
-
-  test("summarize mean and std of 1..4") {
-    val s = InfluenceStats.summarize(Seq(1.0, 2.0, 3.0, 4.0))
-    assert(s.mean == 2.5)
-    assert(math.abs(s.std - math.sqrt(1.25)) < 1e-12)
-    assert(s.min == 1.0 && s.max == 4.0)
-  }
-
-  test("percentiles pick order statistics from the sorted sample") {
-    val s = InfluenceStats.summarize((1 to 100).map(_.toDouble))
-    assert(s.p01 == 1.0)
-    assert(s.p50 == 50.0)
-    assert(s.p99 == 99.0)
-  }
-
-  test("summarize rejects the empty sample") {
-    assertThrows[IllegalArgumentException](InfluenceStats.summarize(Seq.empty))
-  }
+class InfluenceStatsSpec extends AnyFunSuite {
 
   test("leastSampleNumber finds the first qualifying grid point") {
     val curve = Seq(
@@ -55,22 +30,5 @@ class InfluenceStatsSpec extends SparkSpec {
 
   test("leastSampleNumber of an empty curve is None") {
     assert(InfluenceStats.leastSampleNumber(Seq.empty, 1.0).isEmpty)
-  }
-
-  test("summarize agrees with DuckDB on mean and std (oracle)") {
-    val vals = Seq((1L, 1.0), (1L, 2.0), (1L, 6.0), (4L, 4.0), (4L, 8.0))
-    def round6(x: Double) = math.round(x * 1e6) / 1e6
-    val local = vals.groupBy(_._1).toSeq.map { case (s, rows) =>
-      val sum = InfluenceStats.summarize(rows.map(_._2))
-      (s, round6(sum.mean), round6(sum.std))
-    }.toDF("sample_number", "mean", "std")
-    Oracle.assertEquivalent(
-      local,
-      """SELECT sample_number,
-        |       ROUND(AVG(CAST(influence AS DOUBLE)), 6) AS mean,
-        |       ROUND(COALESCE(STDDEV_POP(CAST(influence AS DOUBLE)), 0), 6) AS std
-        |FROM vals GROUP BY sample_number""".stripMargin,
-      "vals" -> vals.toDF("sample_number", "influence"),
-    )
   }
 }

@@ -44,13 +44,4 @@ class SeedSetStatsSpec extends SparkSpec {
       "trials" -> keys.toDF("seed_key"),
     )
   }
-
-  test("mode returns the most frequent key and its probability") {
-    val keys = Seq("a", "b", "b", "b", "c")
-    assert(SeedSetStats.mode(keys) == ("b", 0.6))
-  }
-
-  test("mode of a degenerate sample is (key, 1.0)") {
-    assert(SeedSetStats.mode(Seq("z", "z")) == ("z", 1.0))
-  }
 }

@@ -57,6 +57,17 @@ class TablesSpec extends AnyFunSuite {
     assert(cell.entropy == 1.0)
   }
 
+  test("a Table 5 cell of an algorithm without grid points is not run, not >max") {
+    val sweep = syntheticSweep()
+    val noOneshot = sweep.copy(points = sweep.points.filterNot(_.alg == "Oneshot"))
+    assert(Tables.leastSample(noOneshot, Alg.OneshotAlg) == Tables.NotRun)
+    assert(Tables.leastSample(sweep, Alg.OneshotAlg) == Tables.AboveMax)
+    assert(Tables.leastSample(sweep, Alg.SnapshotAlg) == Tables.LeastSample(7, 1.0))
+    val row = Tables.LeastSampleRow("BA_d", "IWC", 16, Alg.all.map(Tables.leastSample(noOneshot, _)))
+    assert(Tables.table5Lines(Seq(row)).last ==
+      "[table5] BA_d           IWC     16 |     -     - |     7  1.00 |    13  1.00")
+  }
+
   test("table9Cell multiplies per-sample total cost by the comparable ratio") {
     val c = Tables.PerSampleCost(vertex = 100.0, edge = 900.0)
     assert(Tables.table9Cell(c, 4.0) == 4000.0)
