@@ -36,19 +36,20 @@ final class SimScratch(n: Int) {
   */
 object Ic {
 
-  /** Simulates one IC diffusion from `seeds` and returns the number of
-    * activated vertices |A≤n|. Every activated vertex adds 1 to the vertex
-    * traversal cost; every out-edge of an activated vertex adds 1 to the
-    * edge traversal cost (examined whether or not the endpoint is active,
-    * exactly as a naive implementation scans adjacency lists).
+  /** Simulates one IC diffusion from the first `seedCount` vertices of
+    * `seeds` and returns the number of activated vertices |A≤n|. Every
+    * activated vertex adds 1 to the vertex traversal cost; every out-edge
+    * of an activated vertex adds 1 to the edge traversal cost (examined
+    * whether or not the endpoint is active, exactly as a naive
+    * implementation scans adjacency lists).
     */
-  def simulate(g: LocalGraph, seeds: Array[Int], rng: SplittableRandom,
-               scratch: SimScratch, costs: Costs): Int = {
+  def simulate(g: LocalGraph, seeds: Array[Int], seedCount: Int,
+               rng: SplittableRandom, scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
     var head = 0
     var tail = 0
     var i = 0
-    while (i < seeds.length) {
+    while (i < seedCount) {
       val s = seeds(i)
       if (!scratch.visited(s)) {
         scratch.visit(s)

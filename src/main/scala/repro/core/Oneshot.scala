@@ -29,11 +29,10 @@ final class Oneshot(g: LocalGraph, beta: Int) extends InfluenceEstimator {
 
   override def estimate(v: Int, rng: SplittableRandom): Double = {
     seedBuf(seedCount) = v
-    val seeds = java.util.Arrays.copyOf(seedBuf, seedCount + 1)
     var total = 0L
     var i = 0
     while (i < beta) {
-      total += Ic.simulate(g, seeds, rng, scratch, costsAcc)
+      total += Ic.simulate(g, seedBuf, seedCount + 1, rng, scratch, costsAcc)
       i += 1
     }
     total.toDouble / beta

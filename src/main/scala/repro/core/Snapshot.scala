@@ -35,10 +35,11 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
   private var storedEdges = 0L
 
   override def build(rng: SplittableRandom): Unit = {
+    // Every entry is redrawn per snapshot, so one array serves all τ.
+    val live = new Array[Boolean](g.m)
     var i = 0
     while (i < tau) {
       val off = new Array[Int](g.n + 1)
-      val live = new Array[Boolean](g.m)
       var e = 0
       while (e < g.m) { live(e) = rng.nextDouble() < g.outProb(e); e += 1 }
       var u = 0

@@ -5,7 +5,9 @@ import org.apache.spark.sql.SparkSession
 import repro.analysis.{ComparableRatio, SeedSetStats}
 import repro.core.{Greedy, Ris}
 import repro.graphs.LocalGraph
-import repro.spark.{Alg, RRSetJob, TrialRunner}
+import repro.spark.{Alg, RRSetJob, Trial, TrialRow, TrialRunner}
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 
 /** The central experimental machinery of the paper's §4: run an algorithm T
   * times for every sample number on a powers-of-two grid, evaluate every
@@ -77,31 +79,41 @@ object Sweep {
   }
 
   /** Runs the full sweep for seed size `k` on influence graph `g`, using
-    * `oracle` (built on the same graph) for influence evaluation.
+    * `oracle` (built on the same graph) for influence evaluation. All
+    * trials of the sweep run as one Spark job (see [[TrialRunner.runTrials]]),
+    * while the driver computes the reference seed set.
     */
   def run(spark: SparkSession, g: LocalGraph, oracle: RRSetJob, k: Int,
-          cfg: Config): Result = {
+          cfg: Config): Result = runWithRows(spark, g, oracle, k, cfg)._1
+
+  /** [[run]], also returning the trial rows of every grid point in grid
+    * order, each in trial order.
+    */
+  private[exp] def runWithRows(spark: SparkSession, g: LocalGraph, oracle: RRSetJob,
+                               k: Int, cfg: Config): (Result, Seq[(Alg, Int, Seq[TrialRow])]) = {
     require(oracle.g.n == g.n && oracle.g.m == g.m,
             "oracle must be built on the same influence graph")
+    require(cfg.trials >= 1, s"trials=${cfg.trials} must be >= 1")
     // Narrowed up front, so an oversized grid fails before any trial runs.
-    val grids: Seq[(Alg, Seq[Int])] = Seq(
-      Alg.OneshotAlg -> powersOfTwo(cfg.oneshotMax),
-      Alg.SnapshotAlg -> powersOfTwo(cfg.snapshotMax),
-      Alg.RisAlg -> powersOfTwo(cfg.risMax, cfg.risMin),
-    ).map { case (alg, grid) => alg -> grid.map(s => toInt(s"${alg.name} sample number", s)) }
-    val raw = for {
-      (alg, grid) <- grids
-      s <- grid
-    } yield {
-      val pointSeed = TrialRunner.mixSeed(cfg.baseSeed,
-        (alg.name.hashCode.toLong << 32) ^ s)
-      val rows = TrialRunner.runCollect(spark, g, alg, s, k, cfg.trials, pointSeed)
-      (alg, s, rows)
-    }
-    val refSet = referenceSeedSet(g, k, cfg.refTheta, cfg.baseSeed + 777)
+    val refTheta = toInt("refTheta", cfg.refTheta)
+    val grid: Seq[(Alg, Int)] = for {
+      (alg, sampleNumbers) <- Seq(
+        Alg.OneshotAlg -> powersOfTwo(cfg.oneshotMax),
+        Alg.SnapshotAlg -> powersOfTwo(cfg.snapshotMax),
+        Alg.RisAlg -> powersOfTwo(cfg.risMax, cfg.risMin))
+      s <- sampleNumbers
+    } yield alg -> toInt(s"${alg.name} sample number", s)
+    val trials = for {
+      (alg, s) <- grid.toIndexedSeq
+      pointSeed = TrialRunner.mixSeed(cfg.baseSeed, (alg.name.hashCode.toLong << 32) ^ s)
+      t <- 0 until cfg.trials
+    } yield Trial(alg, s, k, pointSeed, t)
+    val ref = Future(referenceSeedSet(g, k, refTheta, cfg.baseSeed + 777))(ExecutionContext.global)
+    val allRows = TrialRunner.runTrials(spark, g, trials)
+    val refSet = Await.result(ref, Duration.Inf)
+    val raw = grid.zip(allRows.grouped(cfg.trials).toSeq).map { case ((alg, s), rows) => (alg, s, rows) }
     val refKey = refSet.mkString(",")
-    val allSets: Seq[Seq[Int]] =
-      (raw.flatMap(_._3.map(_.seed_set)) :+ refSet).distinct
+    val allSets: Seq[Seq[Int]] = (allRows.map(_.seed_set) :+ refSet).distinct
     val infByKey = oracle.influenceOfSets(allSets)
     val points = raw.map { case (alg, s, rows) =>
       val keys = rows.map(_.seed_key)
@@ -117,6 +129,6 @@ object Sweep {
         meanEdgeCost = rows.map(_.edge_cost.toDouble).sum / rows.size,
       )
     }
-    Result(points, refKey, infByKey(refKey))
+    (Result(points, refKey, infByKey(refKey)), raw)
   }
 }

@@ -1,33 +1,48 @@
 package repro.spark
 
 import java.util.SplittableRandom
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.{Greedy, InfluenceEstimator, Oneshot, Ris, Snapshot}
 import repro.graphs.LocalGraph
 
 /** Which of the paper's three approaches a run uses, plus its estimator
-  * factory. `name` values match the paper's table labels.
+  * factory and cost estimate. `name` values match the paper's table labels.
   */
 sealed trait Alg extends Serializable {
   def name: String
   def make(g: LocalGraph, sampleNumber: Int): InfluenceEstimator
+
+  /** Relative cost of one greedy run, after the paper's Table 1 bounds:
+    * β·k·m for Oneshot, τ·m for Snapshot, θ for RIS. It only orders and
+    * packs trials, so its units need not agree with the counted costs.
+    */
+  def cost(g: LocalGraph, sampleNumber: Int, k: Int): Double
 }
 
 object Alg {
   case object OneshotAlg extends Alg {
     val name = "Oneshot"
     def make(g: LocalGraph, s: Int): InfluenceEstimator = new Oneshot(g, s)
+    def cost(g: LocalGraph, s: Int, k: Int): Double = s.toDouble * k * g.m
   }
   case object SnapshotAlg extends Alg {
     val name = "Snapshot"
     def make(g: LocalGraph, s: Int): InfluenceEstimator = new Snapshot(g, s)
+    def cost(g: LocalGraph, s: Int, k: Int): Double = s.toDouble * g.m
   }
   case object RisAlg extends Alg {
     val name = "RIS"
     def make(g: LocalGraph, s: Int): InfluenceEstimator = new Ris(g, s)
+    def cost(g: LocalGraph, s: Int, k: Int): Double = s.toDouble
   }
   val all: Seq[Alg] = Seq(OneshotAlg, SnapshotAlg, RisAlg)
 }
+
+/** One greedy run to schedule: trial `trial` of the grid point (`alg`,
+  * `sampleNumber`, `k`), whose PRNG seed is `mixSeed(pointSeed, trial)`.
+  */
+final case class Trial(alg: Alg, sampleNumber: Int, k: Int, pointSeed: Long,
+                       trial: Int)
 
 /** One completed greedy run (a "trial" in the paper's §4 methodology). */
 final case class TrialRow(
@@ -43,10 +58,15 @@ final case class TrialRow(
 )
 
 /** Distributed trial runner: the paper constructs empirical seed-set and
-  * influence distributions from T independent algorithm runs; here the T
-  * runs are an RDD job over a broadcast graph, one PRNG stream per trial.
+  * influence distributions from T independent algorithm runs; here any set
+  * of runs, over one or many grid points, is one RDD job over one broadcast
+  * graph, with one PRNG stream per trial. Which task runs a trial affects
+  * only scheduling, never a row.
   */
 object TrialRunner {
+
+  /** A job has at most this many slices per unit of default parallelism. */
+  private val SlicesPerCore = 4
 
   /** SplitMix64 finaliser — decorrelates per-trial PRNG seeds. */
   def mixSeed(base: Long, trial: Long): Long = {
@@ -56,34 +76,62 @@ object TrialRunner {
     z ^ (z >>> 31)
   }
 
-  /** Runs `trials` independent greedy runs of `alg` with the given sample
-    * number and seed size and returns one [[TrialRow]] per trial.
+  /** Longest-processing-time packing: item indices by decreasing cost
+    * (ties in index order), each into the currently lightest of `slices`
+    * slices (ties to the lower slice). Each slice lists its items in the
+    * order they were packed.
     */
-  def run(spark: SparkSession, g: LocalGraph, alg: Alg, sampleNumber: Int,
-          k: Int, trials: Int, baseSeed: Long): DataFrame = {
-    import spark.implicits._
-    require(trials >= 1)
-    val bc = spark.sparkContext.broadcast(g)
-    val algName = alg.name
-    val slices = math.min(trials, spark.sparkContext.defaultParallelism * 2)
-    val rows = spark.sparkContext
-      .parallelize(0 until trials, slices)
-      .map { t =>
-        val rng = new SplittableRandom(mixSeed(baseSeed, t.toLong))
-        val est = alg.make(bc.value, sampleNumber)
-        val r = Greedy.run(bc.value.n, k, est, rng)
-        TrialRow(t, algName, sampleNumber.toLong, k, r.seeds.sorted.toSeq,
-                 r.seedSetKey, r.vertexCost, r.edgeCost, r.sampleSize)
-      }
-    rows.toDF()
+  private[spark] def pack(costs: Array[Double], slices: Int): Array[Array[Int]] = {
+    val load = new Array[Double](slices)
+    val packed = Array.fill(slices)(Array.newBuilder[Int])
+    for (i <- costs.indices.sortBy(i => -costs(i))) {
+      var lightest = 0
+      var b = 1
+      while (b < slices) { if (load(b) < load(lightest)) lightest = b; b += 1 }
+      load(lightest) += costs(i)
+      packed(lightest) += i
+    }
+    packed.map(_.result())
   }
 
-  /** Collected form of [[run]] for drivers that post-process locally. */
+  /** Runs `trials` as one job over one broadcast of `g`, packed by
+    * [[Alg.cost]] into at most `4 × defaultParallelism` slices, and returns
+    * their rows in the order of `trials`. No trials start no job.
+    */
+  def runTrials(spark: SparkSession, g: LocalGraph,
+                trials: IndexedSeq[Trial]): Seq[TrialRow] =
+    if (trials.isEmpty) Nil
+    else {
+      val sc = spark.sparkContext
+      val slices = pack(trials.map(t => t.alg.cost(g, t.sampleNumber, t.k)).toArray,
+                        math.min(trials.size, SlicesPerCore * sc.defaultParallelism))
+      val bc = sc.broadcast(g)
+      val done = try {
+        sc.parallelize(slices.toSeq.map(_.map(trials)), slices.length)
+          .flatMap(_.iterator.map(runOne(bc.value, _)))
+          .collect()
+      } finally bc.destroy()
+      // `collect` keeps slice order and the order within each slice.
+      val rows = new Array[TrialRow](trials.size)
+      slices.flatten.zip(done).foreach { case (i, row) => rows(i) = row }
+      rows.toSeq
+    }
+
+  private def runOne(g: LocalGraph, t: Trial): TrialRow = {
+    val rng = new SplittableRandom(mixSeed(t.pointSeed, t.trial.toLong))
+    val r = Greedy.run(g.n, t.k, t.alg.make(g, t.sampleNumber), rng)
+    TrialRow(t.trial, t.alg.name, t.sampleNumber.toLong, t.k, r.seeds.sorted.toSeq,
+             r.seedSetKey, r.vertexCost, r.edgeCost, r.sampleSize)
+  }
+
+  /** Runs `trials` independent greedy runs of `alg` with the given sample
+    * number and seed size, and returns one [[TrialRow]] per trial in trial
+    * order: the single-grid-point case of [[runTrials]].
+    */
   def runCollect(spark: SparkSession, g: LocalGraph, alg: Alg,
                  sampleNumber: Int, k: Int, trials: Int,
                  baseSeed: Long): Seq[TrialRow] = {
-    import spark.implicits._
-    run(spark, g, alg, sampleNumber, k, trials, baseSeed).as[TrialRow]
-      .collect().toSeq
+    require(trials >= 1, s"trials=$trials must be >= 1")
+    runTrials(spark, g, (0 until trials).map(Trial(alg, sampleNumber, k, baseSeed, _)))
   }
 }

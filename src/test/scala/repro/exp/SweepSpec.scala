@@ -1,8 +1,11 @@
 package repro.exp
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
+import repro.analysis.SeedSetStats
 import repro.graphs.{GraphGen, ProbModel}
-import repro.spark.{Alg, RRSetJob}
+import repro.spark.{Alg, RRSetJob, TrialRunner}
 
 class SweepSpec extends SparkSpec {
 
@@ -108,5 +111,93 @@ class SweepSpec extends SparkSpec {
                    refTheta = 1024))
     assert(r2.curve(Alg.OneshotAlg).isEmpty)
     assert(r2.curve(Alg.SnapshotAlg).nonEmpty)
+  }
+
+  test("trials < 1 fails before any job, naming the value") {
+    val e = intercept[IllegalArgumentException] {
+      Sweep.run(spark, g, oracle, k = 1,
+        Sweep.Config(trials = 0, oneshotMax = 2, snapshotMax = 2, risMax = 2))
+    }
+    assert(e.getMessage.contains("trials=0"))
+  }
+
+  test("all grid maxima 0: no job and no points") {
+    assert(oracle.g eq g) // built before counting jobs
+    val (r, jobs) = jobsStartedBy {
+      Sweep.run(spark, g, oracle, k = 1,
+        Sweep.Config(trials = 4, oneshotMax = 0, snapshotMax = 0, risMax = 0,
+                     refTheta = 1024))
+    }
+    assert(jobs == 0)
+    assert(r.points.isEmpty)
+    assert(r.referenceKey.nonEmpty && r.referenceInfluence >= 1.0)
+  }
+
+  // A second small Karate sweep (IWC, k=2) for the job-structure tests.
+  private lazy val gIwc = ProbModel.assign(GraphGen.karate(), ProbModel.IWC)
+  private lazy val oracleIwc = RRSetJob(spark, gIwc, theta = 20000, seed = 12)
+  private lazy val smallCfg = Sweep.Config(trials = 8, oneshotMax = 4, snapshotMax = 8,
+                                           risMax = 256, risMin = 16, refTheta = 1 << 12,
+                                           baseSeed = 31)
+
+  test("Sweep.run equals the sweep reassembled from per-point runCollect") {
+    val (result, rows) = Sweep.runWithRows(spark, gIwc, oracleIwc, 2, smallCfg)
+    val grid = for {
+      (alg, max, min) <- Seq((Alg.OneshotAlg, smallCfg.oneshotMax, 1L),
+                             (Alg.SnapshotAlg, smallCfg.snapshotMax, 1L),
+                             (Alg.RisAlg, smallCfg.risMax, smallCfg.risMin))
+      s <- Sweep.powersOfTwo(max, min)
+    } yield (alg, s.toInt)
+    val perPoint = grid.map { case (alg, s) =>
+      val pointSeed = TrialRunner.mixSeed(smallCfg.baseSeed, (alg.name.hashCode.toLong << 32) ^ s)
+      (alg, s, TrialRunner.runCollect(spark, gIwc, alg, s, 2, smallCfg.trials, pointSeed))
+    }
+    val refSet = Sweep.referenceSeedSet(gIwc, 2, smallCfg.refTheta, smallCfg.baseSeed + 777)
+    val refKey = refSet.mkString(",")
+    val infByKey = oracleIwc.influenceOfSets((perPoint.flatMap(_._3.map(_.seed_set)) :+ refSet).distinct)
+    val expected = Sweep.Result(perPoint.map { case (alg, s, rs) =>
+      val infs = rs.map(r => infByKey(r.seed_key))
+      Sweep.Point(alg.name, s, SeedSetStats.entropyOfKeys(rs.map(_.seed_key)), infs,
+                  infs.sum / infs.size, rs.map(_.sample_size.toDouble).sum / rs.size,
+                  rs.map(_.vertex_cost.toDouble).sum / rs.size,
+                  rs.map(_.edge_cost.toDouble).sum / rs.size)
+    }, refKey, infByKey(refKey))
+    assert(rows == perPoint)
+    assert(result == expected)
+    assert(result.toString == expected.toString)
+  }
+
+  test("Sweep.run starts exactly one Spark job") {
+    assert(oracleIwc.g eq gIwc) // built before counting jobs
+    val (r, jobs) = jobsStartedBy(Sweep.run(spark, gIwc, oracleIwc, 2, smallCfg))
+    assert(jobs == 1)
+    assert(r.points.size == 3 + 4 + 5)
+  }
+
+  /** `f`'s result and the number of Spark jobs it started. Marker jobs
+    * before and after flush the listener queue, whose events arrive in order.
+    */
+  private def jobsStartedBy[A](f: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val groups = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    def marker(id: String): Unit = {
+      sc.setJobGroup(id, "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!groups.contains(id) && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(groups.contains(id), s"marker job $id not seen")
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("sweep-before")
+      groups.clear()
+      val a = f
+      marker("sweep-after")
+      (a, groups.toArray.count(_ != "sweep-after"))
+    } finally sc.removeSparkListener(listener)
   }
 }

@@ -8,12 +8,9 @@ class TrialRunnerSpec extends SparkSpec {
   private lazy val g = ProbModel.assign(GraphGen.karate(), ProbModel.uc01)
 
   test("produces one row per trial with the expected schema") {
-    val df = TrialRunner.run(spark, g, Alg.SnapshotAlg, sampleNumber = 4,
-                             k = 2, trials = 12, baseSeed = 1)
-    assert(df.count() == 12)
-    assert(df.columns.toSeq == Seq("trial", "alg", "sample_number", "k",
-                                   "seed_set", "seed_key", "vertex_cost",
-                                   "edge_cost", "sample_size"))
+    val rows = TrialRunner.runCollect(spark, g, Alg.SnapshotAlg, sampleNumber = 4,
+                                      k = 2, trials = 12, baseSeed = 1)
+    assert(rows.size == 12)
   }
 
   test("trial ids are 0 until trials, distinct") {
@@ -79,7 +76,16 @@ class TrialRunnerSpec extends SparkSpec {
 
   test("trials = 0 is rejected") {
     assertThrows[IllegalArgumentException] {
-      TrialRunner.run(spark, g, Alg.RisAlg, 1, 1, 0, baseSeed = 1)
+      TrialRunner.runCollect(spark, g, Alg.RisAlg, 1, 1, 0, baseSeed = 1)
     }
+  }
+
+  test("pack puts every item in one slice, longest first into the lightest") {
+    val costs = Array(1.0, 5.0, 3.0, 3.0, 8.0, 2.0)
+    val slices = TrialRunner.pack(costs, 3)
+    assert(slices.flatten.sorted.toSeq == costs.indices)
+    // 8 → 0, 5 → 1, 3 → 2, 3 → 2, 2 → 1, 1 → 2: loads 8, 7, 7.
+    assert(slices.map(_.toSeq).toSeq == Seq(Seq(4), Seq(1, 5), Seq(2, 3, 0)))
+    assert(TrialRunner.pack(costs, 1).head.toSeq == Seq(4, 1, 2, 3, 5, 0))
   }
 }
