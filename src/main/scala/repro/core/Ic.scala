@@ -23,8 +23,14 @@ final class SimScratch(n: Int) {
   var stamp: Int = 0
   val queue: Array[Int] = new Array[Int](n)
 
-  /** Starts a fresh run; all vertices become unvisited in O(1). */
-  def reset(): Unit = { stamp += 1 }
+  /** Starts a fresh run; all vertices become unvisited, in O(1) except
+    * once every 2³² runs: when `stamp` wraps to 0, the value of a
+    * never-visited `mark`, the marks are cleared and it restarts at 1.
+    */
+  def reset(): Unit = {
+    stamp += 1
+    if (stamp == 0) { java.util.Arrays.fill(mark, 0); stamp = 1 }
+  }
 
   def visited(v: Int): Boolean = mark(v) == stamp
   def visit(v: Int): Unit = { mark(v) = stamp }
@@ -32,7 +38,9 @@ final class SimScratch(n: Int) {
 
 /** Forward Independent Cascade simulation (paper §2.2), the kernel of the
   * Oneshot estimator. Follows the paper's PRNG discipline (§4.1): one
-  * uniform draw per *examined* edge, the edge is live iff x < p(e).
+  * uniform draw per *examined* edge, the edge is live iff x < p(e). The
+  * draws are `rng`'s own, run in locals by [[SplitMix]] and tested against
+  * `LocalGraph.outThreshold`; `rng` resumes after them.
   */
 object Ic {
 
@@ -46,33 +54,46 @@ object Ic {
   def simulate(g: LocalGraph, seeds: Array[Int], seedCount: Int,
                rng: SplittableRandom, scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
+    val mark = scratch.mark
+    val stamp = scratch.stamp
+    val queue = scratch.queue
+    val offsets = g.outOffsets
+    val dst = g.outDst
+    val threshold = g.outThreshold
+    val gamma = SplitMix.gamma(rng)
+    var state = SplitMix.seed(rng)
     var head = 0
     var tail = 0
     var i = 0
     while (i < seedCount) {
       val s = seeds(i)
-      if (!scratch.visited(s)) {
-        scratch.visit(s)
-        scratch.queue(tail) = s; tail += 1
+      if (mark(s) != stamp) {
+        mark(s) = stamp
+        queue(tail) = s; tail += 1
       }
       i += 1
     }
+    var edges = 0L
     while (head < tail) {
-      val u = scratch.queue(head); head += 1
-      costs.vertex += 1
-      var e = g.outOffsets(u)
-      val end = g.outOffsets(u + 1)
+      val u = queue(head); head += 1
+      var e = offsets(u)
+      val end = offsets(u + 1)
+      edges += end - e
       while (e < end) {
-        costs.edge += 1
-        val w = g.outDst(e)
-        val live = rng.nextDouble() < g.outProb(e)
-        if (live && !scratch.visited(w)) {
-          scratch.visit(w)
-          scratch.queue(tail) = w; tail += 1
+        state += gamma
+        if ((SplitMix.mix64(state) >>> 11) < threshold(e)) {
+          val w = dst(e)
+          if (mark(w) != stamp) {
+            mark(w) = stamp
+            queue(tail) = w; tail += 1
+          }
         }
         e += 1
       }
     }
+    SplitMix.setSeed(rng, state)
+    costs.vertex += tail
+    costs.edge += edges
     tail
   }
 }

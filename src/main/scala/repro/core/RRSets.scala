@@ -7,8 +7,10 @@ import repro.graphs.LocalGraph
   *
   * An RR set for a uniformly random target z is the set of vertices that can
   * reach z in a live-edge random graph G ~ 𝒢, generated lazily by a reverse
-  * BFS that flips one coin per examined in-edge. Used both by the [[Ris]]
-  * estimator and by the shared influence-evaluation oracle of §5.2.
+  * BFS that flips one coin per examined in-edge (`rng`'s own draws, run in
+  * locals by [[SplitMix]] against `LocalGraph.inThreshold`). Used both by
+  * the [[Ris]] estimator and by the shared influence-evaluation oracle of
+  * §5.2.
   */
 object RRSets {
 
@@ -38,26 +40,39 @@ object RRSets {
   private def search(g: LocalGraph, z: Int, rng: SplittableRandom,
                      scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
-    scratch.visit(z)
-    scratch.queue(0) = z
+    val mark = scratch.mark
+    val stamp = scratch.stamp
+    val queue = scratch.queue
+    val offsets = g.inOffsets
+    val src = g.inSrc
+    val threshold = g.inThreshold
+    val gamma = SplitMix.gamma(rng)
+    var state = SplitMix.seed(rng)
+    mark(z) = stamp
+    queue(0) = z
     var head = 0
     var tail = 1
+    var edges = 0L
     while (head < tail) {
-      val v = scratch.queue(head); head += 1
-      costs.vertex += 1
-      var e = g.inOffsets(v)
-      val end = g.inOffsets(v + 1)
+      val v = queue(head); head += 1
+      var e = offsets(v)
+      val end = offsets(v + 1)
+      edges += end - e
       while (e < end) {
-        costs.edge += 1
-        val u = g.inSrc(e)
-        val live = rng.nextDouble() < g.inProb(e)
-        if (live && !scratch.visited(u)) {
-          scratch.visit(u)
-          scratch.queue(tail) = u; tail += 1
+        state += gamma
+        if ((SplitMix.mix64(state) >>> 11) < threshold(e)) {
+          val u = src(e)
+          if (mark(u) != stamp) {
+            mark(u) = stamp
+            queue(tail) = u; tail += 1
+          }
         }
         e += 1
       }
     }
+    SplitMix.setSeed(rng, state)
+    costs.vertex += tail
+    costs.edge += edges
     tail
   }
 }

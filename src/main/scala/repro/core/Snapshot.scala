@@ -35,13 +35,21 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
   private var storedEdges = 0L
 
   override def build(rng: SplittableRandom): Unit = {
-    // Every entry is redrawn per snapshot, so one array serves all τ.
+    // Every entry is redrawn per snapshot, so one array serves all τ. The
+    // τ·m draws are rng's own, run in locals (SplitMix); rng resumes after.
     val live = new Array[Boolean](g.m)
+    val threshold = g.outThreshold
+    val gamma = SplitMix.gamma(rng)
+    var state = SplitMix.seed(rng)
     var i = 0
     while (i < tau) {
       val off = new Array[Int](g.n + 1)
       var e = 0
-      while (e < g.m) { live(e) = rng.nextDouble() < g.outProb(e); e += 1 }
+      while (e < g.m) {
+        state += gamma
+        live(e) = (SplitMix.mix64(state) >>> 11) < threshold(e)
+        e += 1
+      }
       var u = 0
       while (u < g.n) {
         var j = g.outOffsets(u)
@@ -66,6 +74,7 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
       storedEdges += dst.length
       i += 1
     }
+    SplitMix.setSeed(rng, state)
   }
 
   /** BFS from `v` over live edges of snapshot `i`, skipping removed
@@ -78,27 +87,33 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
     val dst = snapDst(i)
     val rem = removed(i)
     scratch.reset()
-    scratch.visit(v)
-    scratch.queue(0) = v
+    val mark = scratch.mark
+    val stamp = scratch.stamp
+    val queue = scratch.queue
+    mark(v) = stamp
+    queue(0) = v
     var head = 0
     var tail = 1
+    var edges = 0L
     while (head < tail) {
-      val u = scratch.queue(head); head += 1
-      costsAcc.vertex += 1
+      val u = queue(head); head += 1
       var e = off(u)
-      while (e < off(u + 1)) {
-        costsAcc.edge += 1
+      val end = off(u + 1)
+      edges += end - e
+      while (e < end) {
         val w = dst(e)
-        if (!scratch.visited(w) && !rem(w)) {
-          scratch.visit(w)
-          scratch.queue(tail) = w; tail += 1
+        if (mark(w) != stamp && !rem(w)) {
+          mark(w) = stamp
+          queue(tail) = w; tail += 1
         }
         e += 1
       }
     }
+    costsAcc.vertex += tail
+    costsAcc.edge += edges
     if (delete) {
       var q = 0
-      while (q < tail) { rem(scratch.queue(q)) = true; q += 1 }
+      while (q < tail) { rem(queue(q)) = true; q += 1 }
     }
     tail
   }

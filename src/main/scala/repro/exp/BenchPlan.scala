@@ -84,9 +84,6 @@ object BenchPlan {
     rows.result()
   }
 
-  def sweepRowsFor(networkName: String): Seq[SweepRow] =
-    sweepRows.filter(_.network.name == networkName)
-
   def sweepRow(networkName: String, modelName: String, k: Int): Option[SweepRow] =
     sweepRows.find(r => r.network.name == networkName &&
                         r.model.name == modelName && r.k == k)

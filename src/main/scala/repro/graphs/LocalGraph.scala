@@ -26,6 +26,16 @@ final class LocalGraph(
     val inProb: Array[Double],
 ) extends Serializable {
 
+  /** [[LocalGraph.threshold]] of each `outProb`, built on first use by a
+    * forward kernel and never serialized.
+    */
+  @transient lazy val outThreshold: Array[Long] = outProb.map(LocalGraph.threshold)
+
+  /** [[LocalGraph.threshold]] of each `inProb`, built on first use by a
+    * reverse kernel and never serialized.
+    */
+  @transient lazy val inThreshold: Array[Long] = inProb.map(LocalGraph.threshold)
+
   /** Number of directed edges. */
   def m: Int = outDst.length
 
@@ -80,6 +90,15 @@ final class LocalGraph(
 }
 
 object LocalGraph {
+
+  /** ⌈p·2⁵³⌉, the live-edge threshold of probability p. A uniform draw
+    * `nextDouble` = k·2⁻⁵³ from a 53-bit integer k is below p iff k is
+    * below this: k·2⁻⁵³ < p ⇔ k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉, and p·2⁵³ is exact
+    * in a double.
+    */
+  def threshold(p: Double): Long = math.ceil(p * TwoPow53).toLong
+
+  private final val TwoPow53 = 9007199254740992.0
 
   /** Builds a graph from a directed edge list with unit probability.
     * Duplicate edges are kept (multigraph semantics, as in raw edge lists);

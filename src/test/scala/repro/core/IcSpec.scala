@@ -89,6 +89,16 @@ class IcSpec extends AnyFunSuite {
     assert(!s.visited(0) && !s.visited(1) && !s.visited(2))
   }
 
+  test("SimScratch reset past the last stamp clears the marks and restarts at 1") {
+    val s = new SimScratch(3)
+    s.reset(); s.visit(1)
+    s.stamp = -1
+    s.visit(2)
+    s.reset()
+    assert(s.stamp == 1)
+    assert((0 until 3).forall(v => !s.visited(v)))
+  }
+
   test("Costs += accumulates both counters") {
     val a = new Costs; a.vertex = 3; a.edge = 5
     val b = new Costs; b.vertex = 10; b.edge = 20
