@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import repro.graphs.LocalGraph
+import repro.graphs.InEdges
 
 /** A batch of RR sets in one flat format: set `i` is
   * `members(offsets(i) until offsets(i + 1))`, in BFS order from its target.
@@ -24,31 +24,9 @@ final class RRCollection(val n: Int, val offsets: Array[Int], val members: Array
   def storedVertices: Long = members.length.toLong
 
   /** Inverted index vertex → ids of the sets containing it, in CSR form
-    * `(vertexOffsets, setIds)`. Built by counting sort in set-id order, so
-    * every vertex's ids ascend; vertex v is in
-    * `vertexOffsets(v + 1) - vertexOffsets(v)` sets.
+    * `(vertexOffsets, setIds)`; see [[RRCollection.invert]].
     */
-  def invert(): (Array[Int], Array[Int]) = {
-    val vertexOffsets = new Array[Int](n + 1)
-    var j = 0
-    while (j < members.length) { vertexOffsets(members(j) + 1) += 1; j += 1 }
-    var v = 0
-    while (v < n) { vertexOffsets(v + 1) += vertexOffsets(v); v += 1 }
-    val pos = java.util.Arrays.copyOf(vertexOffsets, n)
-    val setIds = new Array[Int](members.length)
-    var i = 0
-    while (i < size) {
-      j = offsets(i)
-      while (j < offsets(i + 1)) {
-        val u = members(j)
-        setIds(pos(u)) = i
-        pos(u) += 1
-        j += 1
-      }
-      i += 1
-    }
-    (vertexOffsets, setIds)
-  }
+  def invert(): (Array[Int], Array[Int]) = RRCollection.invert(n, Seq(this))
 }
 
 object RRCollection {
@@ -62,16 +40,16 @@ object RRCollection {
     * traversal cost to `costs` — the PRNG draws of `count` calls to
     * [[RRSets.generate]].
     */
-  def generate(g: LocalGraph, count: Int, rng: SplittableRandom,
+  def generate(in: InEdges, count: Int, rng: SplittableRandom,
                costs: Costs): RRCollection = {
     require(count >= 0 && count <= MaxLength, s"RR-set count $count outside [0, $MaxLength]")
-    val scratch = new SimScratch(g.n)
+    val scratch = new SimScratch(in.n)
     val offsets = new Array[Int](count + 1)
     var members = new Array[Int](math.max(16, count))
     var len = 0
     var i = 0
     while (i < count) {
-      val size = RRSets.draw(g, rng, scratch, costs)
+      val size = RRSets.draw(in, rng, scratch, costs)
       val total = len.toLong + size
       require(total <= MaxLength, s"stored RR-set vertices $total exceed $MaxLength")
       if (total > members.length)
@@ -82,29 +60,53 @@ object RRCollection {
       i += 1
       offsets(i) = len
     }
-    new RRCollection(g.n, offsets, java.util.Arrays.copyOf(members, len))
+    new RRCollection(in.n, offsets, java.util.Arrays.copyOf(members, len))
   }
 
-  /** The sets of `parts` in order as one collection: set ids of each part
-    * follow those of the parts before it.
+  /** Inverted index vertex → set ids of the sets of `parts` taken in order,
+    * the ids of each part following those of the parts before it, in CSR
+    * form `(vertexOffsets, setIds)`. Built by one counting sort over the
+    * parts in set-id order, without concatenating them, so every vertex's
+    * ids ascend; vertex v is in `vertexOffsets(v + 1) - vertexOffsets(v)`
+    * sets.
     */
-  def concat(n: Int, parts: Seq[RRCollection]): RRCollection = {
+  def invert(n: Int, parts: Seq[RRCollection]): (Array[Int], Array[Int]) = {
     val count = parts.map(_.size.toLong).sum
     val stored = parts.map(_.storedVertices).sum
     require(count <= MaxLength, s"RR-set count $count exceeds $MaxLength")
     require(stored <= MaxLength, s"stored RR-set vertices $stored exceed $MaxLength")
-    val offsets = new Array[Int](count.toInt + 1)
-    val members = new Array[Int](stored.toInt)
-    var sets = 0
-    var len = 0
-    for (p <- parts) {
-      require(p.n == n, s"part on ${p.n} vertices, expected $n")
-      System.arraycopy(p.members, 0, members, len, p.members.length)
-      var i = 1
-      while (i <= p.size) { offsets(sets + i) = len + p.offsets(i); i += 1 }
-      sets += p.size
-      len += p.members.length
+    parts.foreach(p => require(p.n == n, s"part on ${p.n} vertices, expected $n"))
+    val vertexOffsets = new Array[Int](n + 1)
+    var it = parts.iterator
+    while (it.hasNext) {
+      val members = it.next().members
+      var j = 0
+      while (j < members.length) { vertexOffsets(members(j) + 1) += 1; j += 1 }
     }
-    new RRCollection(n, offsets, members)
+    var v = 0
+    while (v < n) { vertexOffsets(v + 1) += vertexOffsets(v); v += 1 }
+    val pos = java.util.Arrays.copyOf(vertexOffsets, n)
+    val setIds = new Array[Int](stored.toInt)
+    var first = 0
+    it = parts.iterator
+    while (it.hasNext) {
+      val p = it.next()
+      val offsets = p.offsets
+      val members = p.members
+      var i = 0
+      while (i < p.size) {
+        val id = first + i
+        var j = offsets(i)
+        while (j < offsets(i + 1)) {
+          val u = members(j)
+          setIds(pos(u)) = id
+          pos(u) += 1
+          j += 1
+        }
+        i += 1
+      }
+      first += p.size
+    }
+    (vertexOffsets, setIds)
   }
 }

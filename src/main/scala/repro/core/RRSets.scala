@@ -1,14 +1,14 @@
 package repro.core
 
 import java.util.SplittableRandom
-import repro.graphs.LocalGraph
+import repro.graphs.{InEdges, LocalGraph}
 
 /** Reverse-reachable set generation (paper Definition 3.1 and §3.5).
   *
   * An RR set for a uniformly random target z is the set of vertices that can
   * reach z in a live-edge random graph G ~ 𝒢, generated lazily by a reverse
   * BFS that flips one coin per examined in-edge (`rng`'s own draws, run in
-  * locals by [[SplitMix]] against `LocalGraph.inThreshold`). Used both by
+  * locals by [[SplitMix]] against the thresholds of `InEdges`). Used both by
   * the [[Ris]] estimator and by the shared influence-evaluation oracle of
   * §5.2.
   */
@@ -23,29 +23,29 @@ object RRSets {
     */
   def generate(g: LocalGraph, rng: SplittableRandom, scratch: SimScratch,
                costs: Costs): Array[Int] =
-    java.util.Arrays.copyOf(scratch.queue, draw(g, rng, scratch, costs))
+    java.util.Arrays.copyOf(scratch.queue, draw(g.inEdges, rng, scratch, costs))
 
   /** [[generate]] without the copy: the set is left in
     * `scratch.queue(0 until len)` and `len` is returned.
     */
-  def draw(g: LocalGraph, rng: SplittableRandom, scratch: SimScratch,
+  def draw(in: InEdges, rng: SplittableRandom, scratch: SimScratch,
            costs: Costs): Int =
-    search(g, rng.nextInt(g.n), rng, scratch, costs)
+    search(in, rng.nextInt(in.n), rng, scratch, costs)
 
   /** Draws one RR set for the fixed target `z`. */
   def generateFor(g: LocalGraph, z: Int, rng: SplittableRandom,
                   scratch: SimScratch, costs: Costs): Array[Int] =
-    java.util.Arrays.copyOf(scratch.queue, search(g, z, rng, scratch, costs))
+    java.util.Arrays.copyOf(scratch.queue, search(g.inEdges, z, rng, scratch, costs))
 
-  private def search(g: LocalGraph, z: Int, rng: SplittableRandom,
+  private def search(in: InEdges, z: Int, rng: SplittableRandom,
                      scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
     val mark = scratch.mark
     val stamp = scratch.stamp
     val queue = scratch.queue
-    val offsets = g.inOffsets
-    val src = g.inSrc
-    val threshold = g.inThreshold
+    val offsets = in.offsets
+    val src = in.src
+    val threshold = in.threshold
     val gamma = SplitMix.gamma(rng)
     var state = SplitMix.seed(rng)
     mark(z) = stamp

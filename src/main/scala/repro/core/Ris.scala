@@ -31,7 +31,7 @@ final class Ris(g: LocalGraph, theta: Int) extends InfluenceEstimator {
   private val cnt = new Array[Int](g.n)          // uncovered RR sets containing v
 
   override def build(rng: SplittableRandom): Unit = {
-    rr = RRCollection.generate(g, theta, rng, costsAcc)
+    rr = RRCollection.generate(g.inEdges, theta, rng, costsAcc)
     index = rr.invert()
     val offsets = index._1
     var v = 0

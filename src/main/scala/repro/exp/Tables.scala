@@ -51,10 +51,35 @@ object Tables {
     * vertices are ranked by inverted-list length, ties to the lower id.
     */
   def table4Row(oracle: RRSetJob, top: Int = 3): Seq[Double] = {
-    val (offsets, _) = oracle.invertedIndex
-    val vs = (0 until oracle.g.n).sortBy(v => (offsets(v) - offsets(v + 1), v)).take(top)
+    val vs = topByCount(oracle.invertedIndex._1, top)
     val inf = oracle.influenceOfSets(vs.map(Seq(_)))
     vs.map(v => inf(v.toString))
+  }
+
+  /** The first `top` vertices (all of them when fewer) of the CSR index
+    * with row offsets `offsets`, by row length descending, ties to the
+    * lower id. One pass over the vertices in id order, each inserted into
+    * the sorted top list only when it beats the list's last entry.
+    */
+  def topByCount(offsets: Array[Int], top: Int): Seq[Int] = {
+    val n = offsets.length - 1
+    val k = math.max(0, math.min(top, n))
+    val best = new Array[Int](k)
+    val count = new Array[Int](k)
+    var size = 0
+    var v = 0
+    while (v < n) {
+      val c = offsets(v + 1) - offsets(v)
+      if (size < k || (k > 0 && c > count(k - 1))) {
+        if (size < k) size += 1
+        var i = size - 1
+        while (i > 0 && count(i - 1) < c) { best(i) = best(i - 1); count(i) = count(i - 1); i -= 1 }
+        best(i) = v
+        count(i) = c
+      }
+      v += 1
+    }
+    best.toSeq
   }
 
   /** One Table 4 row: the top-3 singleton influences of one (network, model). */

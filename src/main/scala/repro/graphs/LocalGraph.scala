@@ -4,9 +4,9 @@ package repro.graphs
   * reverse adjacency so that forward diffusion (Oneshot/Snapshot) and
   * reverse reachability (RIS) are cache-friendly array walks.
   *
-  * The graph is immutable and `Serializable`; experiment drivers broadcast
+  * The graph is immutable and `Serializable`; the trial runner broadcasts
   * one instance to all Spark executors and every sampling kernel runs
-  * against it locally.
+  * against it locally. The RR-set oracle ships only [[inEdges]].
   *
   * @param n          number of vertices, ids are `0 until n`
   * @param outOffsets CSR row offsets into `outDst`/`outProb`, length n+1
@@ -31,10 +31,12 @@ final class LocalGraph(
     */
   @transient lazy val outThreshold: Array[Long] = outProb.map(LocalGraph.threshold)
 
-  /** [[LocalGraph.threshold]] of each `inProb`, built on first use by a
-    * reverse kernel and never serialized.
+  /** The reverse adjacency with the [[LocalGraph.threshold]] of each
+    * `inProb`: all that the RR-set kernel reads. Built on first use and not
+    * serialized with the graph; it is shipped on its own instead.
     */
-  @transient lazy val inThreshold: Array[Long] = inProb.map(LocalGraph.threshold)
+  @transient lazy val inEdges: InEdges =
+    new InEdges(n, inOffsets, inSrc, inProb.map(LocalGraph.threshold))
 
   /** Number of directed edges. */
   def m: Int = outDst.length
@@ -69,20 +71,27 @@ final class LocalGraph(
   def transpose: LocalGraph =
     new LocalGraph(n, inOffsets, inSrc, inProb, outOffsets, outDst, outProb)
 
-  /** Returns a copy with every edge probability replaced by `f(u, v)`. */
+  /** Returns a copy with every edge probability replaced by `f(u, v)`,
+    * which must lie in [0,1].
+    */
   def withProbs(f: (Int, Int) => Double): LocalGraph = {
+    def prob(u: Int, v: Int): Double = {
+      val p = f(u, v)
+      require(p >= 0.0 && p <= 1.0, s"probability $p of edge ($u,$v) outside [0,1]")
+      p
+    }
     val op = new Array[Double](outDst.length)
     var u = 0
     while (u < n) {
       var i = outOffsets(u)
-      while (i < outOffsets(u + 1)) { op(i) = f(u, outDst(i)); i += 1 }
+      while (i < outOffsets(u + 1)) { op(i) = prob(u, outDst(i)); i += 1 }
       u += 1
     }
     val ip = new Array[Double](inSrc.length)
     var v = 0
     while (v < n) {
       var i = inOffsets(v)
-      while (i < inOffsets(v + 1)) { ip(i) = f(inSrc(i), v); i += 1 }
+      while (i < inOffsets(v + 1)) { ip(i) = prob(inSrc(i), v); i += 1 }
       v += 1
     }
     new LocalGraph(n, outOffsets, outDst, op, inOffsets, inSrc, ip)
@@ -129,3 +138,15 @@ object LocalGraph {
     new LocalGraph(n, outOff, outDst, outProb, inOff, inSrc, inProb)
   }
 }
+
+/** The reverse adjacency of a [[LocalGraph]] with its live-edge thresholds,
+  * in CSR form: what RR-set generation reads, and so what the oracle ships
+  * to its tasks. Serialized whole, thresholds included.
+  *
+  * @param n         number of vertices, ids are `0 until n`
+  * @param offsets   CSR row offsets into `src`/`threshold`, length n+1
+  * @param src       source vertex of each in-edge, grouped by destination
+  * @param threshold [[LocalGraph.threshold]] of each in-edge's probability
+  */
+final class InEdges(val n: Int, val offsets: Array[Int], val src: Array[Int],
+                    val threshold: Array[Long]) extends Serializable

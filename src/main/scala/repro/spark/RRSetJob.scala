@@ -3,7 +3,7 @@ package repro.spark
 import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
 import repro.core.{Costs, RRCollection}
-import repro.graphs.LocalGraph
+import repro.graphs.{InEdges, LocalGraph}
 
 /** The shared influence-evaluation oracle of the paper's §5.2: a large,
   * seeded collection of θ RR sets is generated once per influence graph and
@@ -12,9 +12,12 @@ import repro.graphs.LocalGraph
   *
   * RR ids are cut into blocks of [[RRSetJob.BlockSize]]; block b is one
   * Spark task drawing its sets from the PRNG seeded with
-  * `TrialRunner.mixSeed(seed, b)`. The blocks are concatenated on the driver
-  * in id order, so the oracle is a function of (graph, θ, seed) alone, not
-  * of the core count. Only the inverted index is kept: a seed set S
+  * `TrialRunner.mixSeed(seed, b)`. The tasks get only the graph's reverse
+  * adjacency and live-edge thresholds (`LocalGraph.inEdges`), broadcast
+  * once. The driver inverts the collected blocks in id order straight into
+  * one index, without concatenating them, so the oracle is a function of
+  * (graph, θ, seed) alone, not of the core count. Only the inverted index
+  * is kept: a seed set S
   * intersects an RR set with probability Inf(S)/n, so
   * Inf(S) ≈ n · |RR sets covered by S| / θ.
   */
@@ -27,7 +30,7 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
     * ids of each vertex ascend.
     */
   val invertedIndex: (Array[Int], Array[Int]) =
-    RRCollection.concat(g.n, RRSetJob.blocks(spark, g, theta, seed)).invert()
+    RRCollection.invert(g.n, RRSetJob.blocks(spark, g.inEdges, theta, seed))
 
   /** Estimated influence of each seed set, keyed by its sorted
     * comma-separated ids. Counts covered RR sets on the driver with a stamp
@@ -68,12 +71,12 @@ object RRSetJob {
     new RRSetJob(spark, g, theta, seed)
 
   /** The RR sets of `theta` ids in blocks of [[BlockSize]], one Spark task
-    * per block, collected in block order.
+    * per block over one broadcast of `in`, collected in block order.
     */
-  private def blocks(spark: SparkSession, g: LocalGraph, theta: Long,
+  private def blocks(spark: SparkSession, in: InEdges, theta: Long,
                      seed: Long): Seq[RRCollection] = {
     val count = ((theta + BlockSize - 1) / BlockSize).toInt
-    val bc = spark.sparkContext.broadcast(g)
+    val bc = spark.sparkContext.broadcast(in)
     try {
       spark.sparkContext
         .parallelize(0 until count, count)

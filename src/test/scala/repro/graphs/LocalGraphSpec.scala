@@ -123,6 +123,30 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("withProbs rejects a probability outside [0,1] or NaN, naming the edge") {
+    for (bad <- Seq(Double.NaN, -0.1, 1.5)) {
+      val e = intercept[IllegalArgumentException] {
+        diamond.withProbs((u, v) => if ((u, v) == (2, 3)) bad else 0.5)
+      }
+      assert(e.getMessage.contains(s"probability $bad of edge (2,3) outside [0,1]"))
+    }
+  }
+
+  test("inEdges survives Java serialization with its thresholds") {
+    val in = diamond.inEdges
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(in)
+    out.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[InEdges]
+    assert(back.n == in.n)
+    assert(back.offsets.toSeq == in.offsets.toSeq)
+    assert(back.src.toSeq == in.src.toSeq)
+    assert(back.threshold.toSeq == in.threshold.toSeq)
+    assert(back.threshold.toSeq == diamond.inProb.toSeq.map(LocalGraph.threshold))
+  }
+
   test("CSR offsets are monotone and end at m") {
     val g = diamond
     assert(g.outOffsets.head == 0)
