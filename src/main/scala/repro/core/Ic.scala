@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import repro.graphs.LocalGraph
+import repro.graphs.LiveEdges
 
 /** Mutable traversal-cost accumulator, the paper's implementation-independent
   * efficiency metric (§3.2): `vertex` counts vertices examined (possibly
@@ -36,30 +36,37 @@ final class SimScratch(n: Int) {
   def visit(v: Int): Unit = { mark(v) = stamp }
 }
 
-/** Forward Independent Cascade simulation (paper §2.2), the kernel of the
-  * Oneshot estimator. Follows the paper's PRNG discipline (§4.1): one
-  * uniform draw per *examined* edge, the edge is live iff x < p(e). The
-  * draws are `rng`'s own, run in locals by [[SplitMix]] and tested against
-  * `LocalGraph.outThreshold`; `rng` resumes after them.
+/** The live-edge cascade: an Independent Cascade diffusion (paper §2.2)
+  * over one direction of the graph's edges. It follows the paper's PRNG
+  * discipline (§4.1): one uniform draw per *examined* edge, and the edge is
+  * live iff x < p(e). The draws are `rng`'s own, run in locals by
+  * [[SplitMix]] and tested against the thresholds of [[LiveEdges]]; `rng`
+  * resumes after them.
+  *
+  * Over `LocalGraph.outEdges` it is the forward cascade, the kernel of the
+  * Oneshot estimator. Over `LocalGraph.inEdges`, from one target z, it is
+  * the forward cascade on the transposed graph 𝒢ᵀ, whose activated set is
+  * the RR set of z (Definition 3.1); see [[RRCollection.generate]].
   */
 object Ic {
 
-  /** Simulates one IC diffusion from the first `seedCount` vertices of
-    * `seeds` and returns the number of activated vertices |A≤n|. Every
-    * activated vertex adds 1 to the vertex traversal cost; every out-edge
-    * of an activated vertex adds 1 to the edge traversal cost (examined
-    * whether or not the endpoint is active, exactly as a naive
-    * implementation scans adjacency lists).
+  /** Simulates one IC diffusion over `edges` from the first `seedCount`
+    * vertices of `seeds`, and returns the number of activated vertices
+    * |A≤n|. They are left in `scratch.queue(0 until |A≤n|)` in BFS order,
+    * repeated seeds counted once. Every activated vertex adds 1 to the
+    * vertex traversal cost. Every edge of an activated vertex adds 1 to the
+    * edge traversal cost, examined whether or not the endpoint is active,
+    * exactly as a naive implementation scans adjacency lists.
     */
-  def simulate(g: LocalGraph, seeds: Array[Int], seedCount: Int,
+  def simulate(edges: LiveEdges, seeds: Array[Int], seedCount: Int,
                rng: SplittableRandom, scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
     val mark = scratch.mark
     val stamp = scratch.stamp
     val queue = scratch.queue
-    val offsets = g.outOffsets
-    val dst = g.outDst
-    val threshold = g.outThreshold
+    val offsets = edges.offsets
+    val adj = edges.adj
+    val threshold = edges.threshold
     val gamma = SplitMix.gamma(rng)
     var state = SplitMix.seed(rng)
     var head = 0
@@ -73,16 +80,16 @@ object Ic {
       }
       i += 1
     }
-    var edges = 0L
+    var examined = 0L
     while (head < tail) {
       val u = queue(head); head += 1
       var e = offsets(u)
       val end = offsets(u + 1)
-      edges += end - e
+      examined += end - e
       while (e < end) {
         state += gamma
         if ((SplitMix.mix64(state) >>> 11) < threshold(e)) {
-          val w = dst(e)
+          val w = adj(e)
           if (mark(w) != stamp) {
             mark(w) = stamp
             queue(tail) = w; tail += 1
@@ -93,7 +100,7 @@ object Ic {
     }
     SplitMix.setSeed(rng, state)
     costs.vertex += tail
-    costs.edge += edges
+    costs.edge += examined
     tail
   }
 }

@@ -32,7 +32,7 @@ final class Oneshot(g: LocalGraph, beta: Int) extends InfluenceEstimator {
     var total = 0L
     var i = 0
     while (i < beta) {
-      total += Ic.simulate(g, seedBuf, seedCount + 1, rng, scratch, costsAcc)
+      total += Ic.simulate(g.outEdges, seedBuf, seedCount + 1, rng, scratch, costsAcc)
       i += 1
     }
     total.toDouble / beta

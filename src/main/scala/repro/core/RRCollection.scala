@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import repro.graphs.InEdges
+import repro.graphs.LiveEdges
 
 /** A batch of RR sets in one flat format: set `i` is
   * `members(offsets(i) until offsets(i + 1))`, in BFS order from its target.
@@ -36,20 +36,30 @@ object RRCollection {
     */
   val MaxLength: Int = Int.MaxValue - 8
 
-  /** Draws `count` RR sets from `rng`, one after another, adding their
-    * traversal cost to `costs` — the PRNG draws of `count` calls to
-    * [[RRSets.generate]].
+  /** Draws `count` RR sets over the in-edges `in`, one after another, and
+    * adds their traversal cost to `costs`.
+    *
+    * An RR set for a uniformly random target z is the set of vertices that
+    * can reach z in a live-edge random graph G ~ 𝒢 (paper Definition 3.1,
+    * §3.5). Each set draws z with `rng.nextInt(n)` and is then the forward
+    * cascade [[Ic.simulate]] from z over `in`, which flips one coin per
+    * examined in-edge. Cost accounting follows §3.5.2: each vertex added to
+    * the set costs one vertex traversal, and each examined in-edge of a
+    * member costs one edge traversal, so the edge cost of a set R is
+    * exactly its weight w(R) = Σ_{v∈R} d⁻(v).
     */
-  def generate(in: InEdges, count: Int, rng: SplittableRandom,
+  def generate(in: LiveEdges, count: Int, rng: SplittableRandom,
                costs: Costs): RRCollection = {
     require(count >= 0 && count <= MaxLength, s"RR-set count $count outside [0, $MaxLength]")
     val scratch = new SimScratch(in.n)
+    val target = new Array[Int](1)
     val offsets = new Array[Int](count + 1)
     var members = new Array[Int](math.max(16, count))
     var len = 0
     var i = 0
     while (i < count) {
-      val size = RRSets.draw(in, rng, scratch, costs)
+      target(0) = rng.nextInt(in.n)
+      val size = Ic.simulate(in, target, 1, rng, scratch, costs)
       val total = len.toLong + size
       require(total <= MaxLength, s"stored RR-set vertices $total exceed $MaxLength")
       if (total > members.length)

@@ -38,7 +38,7 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
     // Every entry is redrawn per snapshot, so one array serves all τ. The
     // τ·m draws are rng's own, run in locals (SplitMix); rng resumes after.
     val live = new Array[Boolean](g.m)
-    val threshold = g.outThreshold
+    val threshold = g.outEdges.threshold
     val gamma = SplitMix.gamma(rng)
     var state = SplitMix.seed(rng)
     var i = 0

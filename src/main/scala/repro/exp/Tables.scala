@@ -93,10 +93,14 @@ object Tables {
       yield TopInfluence(spec.name, model.name, table4Row(SweepStore.oracle(spark, spec, model))))
       .sortBy(r => (r.network, r.model))
 
+  /** The `[table4]` lines; a row of fewer than 3 values (n < 3) shows
+    * `-` for each missing one.
+    */
   def table4Lines(rows: Seq[TopInfluence]): Seq[String] =
     "[table4] network  model    Inf(v1)    Inf(v2)    Inf(v3)" +:
       rows.map { r =>
-        f"[table4] ${r.network}%-8s ${r.model}%-7s ${r.top(0)}%9.4f ${r.top(1)}%9.4f ${r.top(2)}%9.4f"
+        val cells = (0 until 3).map(i => r.top.lift(i).fold(f"${"-"}%9s")(v => f"$v%9.4f"))
+        f"[table4] ${r.network}%-8s ${r.model}%-7s " + cells.mkString(" ")
       }
 
   // ---------------------------------------------------------------- Table 5

@@ -26,17 +26,18 @@ final class LocalGraph(
     val inProb: Array[Double],
 ) extends Serializable {
 
-  /** [[LocalGraph.threshold]] of each `outProb`, built on first use by a
-    * forward kernel and never serialized.
+  /** The forward adjacency as [[LiveEdges]]: what the forward IC kernel
+    * and the Snapshot build read. Built on first use, never serialized.
     */
-  @transient lazy val outThreshold: Array[Long] = outProb.map(LocalGraph.threshold)
+  @transient lazy val outEdges: LiveEdges =
+    new LiveEdges(n, outOffsets, outDst, outProb.map(LocalGraph.threshold))
 
-  /** The reverse adjacency with the [[LocalGraph.threshold]] of each
-    * `inProb`: all that the RR-set kernel reads. Built on first use and not
-    * serialized with the graph; it is shipped on its own instead.
+  /** The reverse adjacency as [[LiveEdges]]: what RR-set generation reads.
+    * Built on first use and not serialized with the graph; the oracle ships
+    * it on its own instead.
     */
-  @transient lazy val inEdges: InEdges =
-    new InEdges(n, inOffsets, inSrc, inProb.map(LocalGraph.threshold))
+  @transient lazy val inEdges: LiveEdges =
+    new LiveEdges(n, inOffsets, inSrc, inProb.map(LocalGraph.threshold))
 
   /** Number of directed edges. */
   def m: Int = outDst.length
@@ -67,7 +68,7 @@ final class LocalGraph(
     for (u <- 0 until n; i <- outOffsets(u) until outOffsets(u + 1))
       yield (u, outDst(i), outProb(i))
 
-  /** The transposed influence graph 𝒢ᵀ (used in traversal-cost bounds). */
+  /** The transposed influence graph 𝒢ᵀ; a forward cascade on it is an RR set. */
   def transpose: LocalGraph =
     new LocalGraph(n, inOffsets, inSrc, inProb, outOffsets, outDst, outProb)
 
@@ -139,14 +140,15 @@ object LocalGraph {
   }
 }
 
-/** The reverse adjacency of a [[LocalGraph]] with its live-edge thresholds,
-  * in CSR form: what RR-set generation reads, and so what the oracle ships
-  * to its tasks. Serialized whole, thresholds included.
+/** One direction of a [[LocalGraph]]'s adjacency with its live-edge
+  * thresholds, in CSR form: what a live-edge cascade reads. The out-edges
+  * give forward IC; the in-edges give RR sets, the forward cascade on the
+  * transposed graph. Serialized whole, thresholds included.
   *
   * @param n         number of vertices, ids are `0 until n`
-  * @param offsets   CSR row offsets into `src`/`threshold`, length n+1
-  * @param src       source vertex of each in-edge, grouped by destination
-  * @param threshold [[LocalGraph.threshold]] of each in-edge's probability
+  * @param offsets   CSR row offsets into `adj`/`threshold`, length n+1
+  * @param adj       the other endpoint of each edge, grouped by row vertex
+  * @param threshold [[LocalGraph.threshold]] of each edge's probability
   */
-final class InEdges(val n: Int, val offsets: Array[Int], val src: Array[Int],
-                    val threshold: Array[Long]) extends Serializable
+final class LiveEdges(val n: Int, val offsets: Array[Int], val adj: Array[Int],
+                      val threshold: Array[Long]) extends Serializable

@@ -3,7 +3,7 @@ package repro.spark
 import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
 import repro.core.{Costs, RRCollection}
-import repro.graphs.{InEdges, LocalGraph}
+import repro.graphs.{LiveEdges, LocalGraph}
 
 /** The shared influence-evaluation oracle of the paper's §5.2: a large,
   * seeded collection of θ RR sets is generated once per influence graph and
@@ -73,7 +73,7 @@ object RRSetJob {
   /** The RR sets of `theta` ids in blocks of [[BlockSize]], one Spark task
     * per block over one broadcast of `in`, collected in block order.
     */
-  private def blocks(spark: SparkSession, in: InEdges, theta: Long,
+  private def blocks(spark: SparkSession, in: LiveEdges, theta: Long,
                      seed: Long): Seq[RRCollection] = {
     val count = ((theta + BlockSize - 1) / BlockSize).toInt
     val bc = spark.sparkContext.broadcast(in)

@@ -8,7 +8,7 @@ class IcSpec extends AnyFunSuite {
 
   private def sim(g: LocalGraph, seeds: Seq[Int], seed: Long = 1): (Int, Costs) = {
     val costs = new Costs
-    val n = Ic.simulate(g, seeds.toArray, seeds.size, new SplittableRandom(seed),
+    val n = Ic.simulate(g.outEdges, seeds.toArray, seeds.size, new SplittableRandom(seed),
                         new SimScratch(g.n), costs)
     (n, costs)
   }
@@ -52,7 +52,7 @@ class IcSpec extends AnyFunSuite {
     val costs = new Costs
     val scratch = new SimScratch(g.n)
     val rng = new SplittableRandom(3)
-    (1 to 10).foreach(_ => Ic.simulate(g, Array(0), 1, rng, scratch, costs))
+    (1 to 10).foreach(_ => Ic.simulate(g.outEdges, Array(0), 1, rng, scratch, costs))
     assert(costs.vertex == 20) // 2 activations per run
     assert(costs.edge == 10)   // 1 out-edge of vertex 0 per run
   }
@@ -66,7 +66,7 @@ class IcSpec extends AnyFunSuite {
     val costs = new Costs
     val runs = 60000
     var total = 0L
-    (1 to runs).foreach(_ => total += Ic.simulate(g, Array(0), 1, rng, scratch, costs))
+    (1 to runs).foreach(_ => total += Ic.simulate(g.outEdges, Array(0), 1, rng, scratch, costs))
     val mean = total.toDouble / runs
     // Spread ≤ 4, so a 6e4-run mean is within ~0.03 of exact w.h.p.
     assert(math.abs(mean - exact) < 0.05, s"mean=$mean exact=$exact")

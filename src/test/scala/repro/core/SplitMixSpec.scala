@@ -114,7 +114,7 @@ class SplitMixSpec extends AnyFunSuite {
       val (ca, cb) = (new Costs, new Costs)
       (0 until 6).forall { _ =>
         val seeds = Array.fill(1 + picks.nextInt(3))(picks.nextInt(g.n))
-        val a = Ic.simulate(g, seeds, seeds.length, rng, sa, ca)
+        val a = Ic.simulate(g.outEdges, seeds, seeds.length, rng, sa, ca)
         val b = ReferenceKernels.simulate(g, seeds, seeds.length, twin, sb, cb)
         a == b && sa.queue.take(a).sameElements(sb.queue.take(b)) &&
           rng.nextInt(g.n) == twin.nextInt(g.n)
@@ -134,6 +134,20 @@ class SplitMixSpec extends AnyFunSuite {
         RRSets.generate(g, rng, sa, ca)
           .sameElements(ReferenceKernels.generate(g, twin, sb, cb))
       } && sameCosts(ca, cb) && rng.nextLong() == twin.nextLong()
+    })
+  }
+
+  test("Ic.simulate on the transposed graph from z is the RR set of z: members, costs and the next draw") {
+    check(Prop.forAll(graphGen, Gen.long, Gen.oneOf(false, true)) { (g, seed, split) =>
+      val (rng, twin) = twins(seed, split)
+      val t = g.transpose.outEdges
+      val (sa, sb) = (new SimScratch(g.n), new SimScratch(g.n))
+      val (ca, cb) = (new Costs, new Costs)
+      (0 until g.n).forall { z =>
+        val a = Ic.simulate(t, Array(z), 1, rng, sa, ca)
+        sa.queue.take(a).sameElements(RRSets.generateFor(g, z, twin, sb, cb)) &&
+          sameCosts(ca, cb) && rng.nextInt(g.n) == twin.nextInt(g.n)
+      } && rng.nextLong() == twin.nextLong()
     })
   }
 

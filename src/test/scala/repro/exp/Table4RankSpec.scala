@@ -48,5 +48,7 @@ class Table4RankSpec extends SparkSpec {
     assert(row == row.sorted.reverse)
     // Inf(0) = 1.5 and Inf(1) = 1 exactly; θ = 4000 puts both within 0.1.
     assert(math.abs(row(0) - 1.5) < 0.1 && math.abs(row(1) - 1.0) < 0.1)
+    val line = Tables.table4Lines(Seq(Tables.TopInfluence("two", "UC0.1", row)))(1)
+    assert(line == f"[table4] two      UC0.1   ${row(0)}%9.4f ${row(1)}%9.4f         -")
   }
 }

@@ -132,19 +132,35 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("inEdges survives Java serialization with its thresholds") {
-    val in = diamond.inEdges
+  private def roundTrip(e: LiveEdges): LiveEdges = {
     val bytes = new java.io.ByteArrayOutputStream
     val out = new java.io.ObjectOutputStream(bytes)
-    out.writeObject(in)
+    out.writeObject(e)
     out.close()
-    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
-      .readObject().asInstanceOf[InEdges]
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[LiveEdges]
+  }
+
+  test("inEdges survives Java serialization with its thresholds") {
+    val in = diamond.inEdges
+    val back = roundTrip(in)
     assert(back.n == in.n)
     assert(back.offsets.toSeq == in.offsets.toSeq)
-    assert(back.src.toSeq == in.src.toSeq)
+    assert(back.adj.toSeq == in.adj.toSeq)
+    assert(back.adj.toSeq == diamond.inSrc.toSeq)
     assert(back.threshold.toSeq == in.threshold.toSeq)
     assert(back.threshold.toSeq == diamond.inProb.toSeq.map(LocalGraph.threshold))
+  }
+
+  test("outEdges survives Java serialization with its thresholds") {
+    val fwd = diamond.outEdges
+    val back = roundTrip(fwd)
+    assert(back.n == fwd.n)
+    assert(back.offsets.toSeq == fwd.offsets.toSeq)
+    assert(back.adj.toSeq == fwd.adj.toSeq)
+    assert(back.adj.toSeq == diamond.outDst.toSeq)
+    assert(back.threshold.toSeq == fwd.threshold.toSeq)
+    assert(back.threshold.toSeq == diamond.outProb.toSeq.map(LocalGraph.threshold))
   }
 
   test("CSR offsets are monotone and end at m") {
