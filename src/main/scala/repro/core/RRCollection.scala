@@ -36,6 +36,13 @@ object RRCollection {
     */
   val MaxLength: Int = Int.MaxValue - 8
 
+  /** `a` if it holds `need` entries, else a copy grown to max(`need`,
+    * 2·length) entries, capped at [[MaxLength]]; `need` ≤ [[MaxLength]].
+    */
+  private[core] def grow(a: Array[Int], need: Long): Array[Int] =
+    if (need <= a.length) a
+    else java.util.Arrays.copyOf(a, math.max(need, math.min(2L * a.length, MaxLength.toLong)).toInt)
+
   /** Draws `count` RR sets over the in-edges `in`, one after another, and
     * adds their traversal cost to `costs`.
     *
@@ -62,9 +69,7 @@ object RRCollection {
       val size = Ic.simulate(in, target, 1, rng, scratch, costs)
       val total = len.toLong + size
       require(total <= MaxLength, s"stored RR-set vertices $total exceed $MaxLength")
-      if (total > members.length)
-        members = java.util.Arrays.copyOf(members,
-          math.max(total, math.min(2L * members.length, MaxLength.toLong)).toInt)
+      members = grow(members, total)
       System.arraycopy(scratch.queue, 0, members, len, size)
       len = total.toInt
       i += 1

@@ -14,66 +14,64 @@ import repro.graphs.LocalGraph
   * returns the marginal influence r_H⁽ⁱ⁾(v) averaged over snapshots.
   * `Update(v)` deletes the newly reachable vertices from each snapshot.
   *
+  * The τ snapshots sit in one flat store: the live out-edges of u in
+  * snapshot i are `dst(offsets(i·n + u) until offsets(i·n + u + 1))`, and
+  * `removed(i·n + v)` marks v as reached in snapshot i. τ·n + 1 and the
+  * live-edge count must not exceed [[RRCollection.MaxLength]].
+  *
   * Cost accounting follows the paper: `Build`'s τ·m coin flips are *not*
-  * traversal (§3.4.2 — "Build touches each edge only τ times, which does
-  * not dominate"); Estimate/Update BFS scans are. The sample size is the
-  * number of live edges stored, expected τ·m̃.
+  * traversal (§3.4.2: they do not dominate); Estimate/Update BFS scans are.
+  * The sample size is the number of live edges stored, expected τ·m̃.
   *
   * @param g   influence graph
   * @param tau sample number τ = number of snapshots
   */
 final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
   require(tau >= 1, s"tau=$tau must be >= 1")
+  require(tau.toLong * g.n + 1 <= RRCollection.MaxLength,
+          s"tau=$tau, n=${g.n}: tau*n + 1 offsets exceed the limit ${RRCollection.MaxLength}")
 
-  // Per-snapshot live-edge CSR; filled by build().
-  private val snapOffsets = new Array[Array[Int]](tau)
-  private val snapDst = new Array[Array[Int]](tau)
-  // removed(i)(v): v was reachable from the current seed set in snapshot i.
-  private val removed = Array.ofDim[Boolean](tau, g.n)
-  private val scratch = new SimScratch(g.n)
+  private val n = g.n
+  private val offsets = new Array[Int](tau * n + 1)
+  private var dst = Array.emptyIntArray
+  private val removed = new Array[Boolean](tau * n)
+  private val scratch = new SimScratch(n)
   private val costsAcc = new Costs
-  private var storedEdges = 0L
 
   override def build(rng: SplittableRandom): Unit = {
-    // Every entry is redrawn per snapshot, so one array serves all τ. The
-    // τ·m draws are rng's own, run in locals (SplitMix); rng resumes after.
-    val live = new Array[Boolean](g.m)
+    // Rows in id order and edges in CSR order: each snapshot draws over edges
+    // 0 … m−1, with rng's own draws run in locals (SplitMix); rng resumes after.
+    val rows = g.outEdges.offsets
+    val adj = g.outEdges.adj
     val threshold = g.outEdges.threshold
     val gamma = SplitMix.gamma(rng)
     var state = SplitMix.seed(rng)
+    var live = new Array[Int](16)
+    var len = 0
     var i = 0
     while (i < tau) {
-      val off = new Array[Int](g.n + 1)
-      var e = 0
-      while (e < g.m) {
-        state += gamma
-        live(e) = (SplitMix.mix64(state) >>> 11) < threshold(e)
-        e += 1
-      }
       var u = 0
-      while (u < g.n) {
-        var j = g.outOffsets(u)
-        while (j < g.outOffsets(u + 1)) { if (live(j)) off(u + 1) += 1; j += 1 }
-        u += 1
-      }
-      u = 0
-      while (u < g.n) { off(u + 1) += off(u); u += 1 }
-      val dst = new Array[Int](off(g.n))
-      val pos = off.clone()
-      u = 0
-      while (u < g.n) {
-        var j = g.outOffsets(u)
-        while (j < g.outOffsets(u + 1)) {
-          if (live(j)) { dst(pos(u)) = g.outDst(j); pos(u) += 1 }
-          j += 1
+      while (u < n) {
+        var e = rows(u)
+        val end = rows(u + 1)
+        while (e < end) {
+          state += gamma
+          if ((SplitMix.mix64(state) >>> 11) < threshold(e)) {
+            if (len == live.length) {
+              require(len < RRCollection.MaxLength,
+                s"tau=$tau, n=$n: stored live edges exceed the limit ${RRCollection.MaxLength}")
+              live = RRCollection.grow(live, len + 1L)
+            }
+            live(len) = adj(e); len += 1
+          }
+          e += 1
         }
         u += 1
+        offsets(i * n + u) = len
       }
-      snapOffsets(i) = off
-      snapDst(i) = dst
-      storedEdges += dst.length
       i += 1
     }
+    dst = java.util.Arrays.copyOf(live, len)
     SplitMix.setSeed(rng, state)
   }
 
@@ -82,10 +80,8 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
     * set, reached vertices are marked removed (the Update path).
     */
   private def reach(i: Int, v: Int, delete: Boolean): Int = {
-    if (removed(i)(v)) return 0
-    val off = snapOffsets(i)
-    val dst = snapDst(i)
-    val rem = removed(i)
+    val base = i * n
+    if (removed(base + v)) return 0
     scratch.reset()
     val mark = scratch.mark
     val stamp = scratch.stamp
@@ -97,12 +93,12 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
     var edges = 0L
     while (head < tail) {
       val u = queue(head); head += 1
-      var e = off(u)
-      val end = off(u + 1)
+      var e = offsets(base + u)
+      val end = offsets(base + u + 1)
       edges += end - e
       while (e < end) {
         val w = dst(e)
-        if (mark(w) != stamp && !rem(w)) {
+        if (mark(w) != stamp && !removed(base + w)) {
           mark(w) = stamp
           queue(tail) = w; tail += 1
         }
@@ -113,7 +109,7 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
     costsAcc.edge += edges
     if (delete) {
       var q = 0
-      while (q < tail) { rem(queue(q)) = true; q += 1 }
+      while (q < tail) { removed(base + queue(q)) = true; q += 1 }
     }
     tail
   }
@@ -131,5 +127,5 @@ final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {
   }
 
   override def costs: Costs = costsAcc
-  override def sampleSize: Long = storedEdges
+  override def sampleSize: Long = offsets(tau * n).toLong
 }

@@ -33,7 +33,7 @@ object Tables {
     */
   def table3(spark: SparkSession, specs: Seq[NetworkSpec]): Seq[GraphFrames.NetworkStats] =
     specs.map { spec =>
-      GraphFrames.networkStats(spark, spec.name, Instances.graph(spec), spec.withDistance)
+      GraphFrames.networkStats(spec.name, Instances.graph(spec), spec.withDistance)
     }
 
   def table3Lines(rows: Seq[GraphFrames.NetworkStats]): Seq[String] =

@@ -147,11 +147,9 @@ object GraphFrames {
                                 avgDistance: Double)
 
   /** Computes a Table 3 row on the driver; `withDistance` gates the
-    * all-pairs BFS. `spark` is unused; it stays in the signature for
-    * callers outside this repository's library, such as the benchmark.
+    * all-pairs BFS.
     */
-  def networkStats(spark: SparkSession, name: String, g: LocalGraph,
-                   withDistance: Boolean): NetworkStats = {
+  def networkStats(name: String, g: LocalGraph, withDistance: Boolean): NetworkStats = {
     val s = Skeleton(g)
     val avg = if (withDistance) averageDistance(s) else Double.NaN
     NetworkStats(name, g.n, g.m, g.maxOutDeg, g.maxInDeg, clusteringCoefficient(s), avg)

@@ -166,6 +166,15 @@ class SnapshotSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](new Snapshot(tiny, 0))
   }
 
+  test("a store beyond the Int limit is rejected before anything is allocated") {
+    // 2²² snapshots of 1,000 vertices need τ·n + 1 ≈ 4.2·10⁹ offsets; the
+    // constructor must refuse them instead of attempting the allocation.
+    val g = LocalGraph.fromEdges(1000, Seq.empty)
+    val e = intercept[IllegalArgumentException](new Snapshot(g, 1 << 22))
+    assert(e.getMessage.contains(s"tau=${1 << 22}, n=1000"), e.getMessage)
+    assert(e.getMessage.contains(s"limit ${RRCollection.MaxLength}"), e.getMessage)
+  }
+
   for (model <- ProbModel.all) {
     test(s"estimates are within [0, n] under ${model.name} on Karate") {
       val g = ProbModel.assign(GraphGen.karate(), model)

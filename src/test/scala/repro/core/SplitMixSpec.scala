@@ -152,7 +152,7 @@ class SplitMixSpec extends AnyFunSuite {
   }
 
   test("Snapshot equals the reference estimator: greedy run, costs, sample size and the next draw") {
-    check(Prop.forAll(graphGen, Gen.long, Gen.oneOf(false, true), Gen.choose(1, 4)) {
+    check(Prop.forAll(graphGen, Gen.long, Gen.oneOf(false, true), Gen.choose(1, 16)) {
       (g, seed, split, tau) =>
         val (rng, twin) = twins(seed, split)
         val k = math.min(3, g.n)

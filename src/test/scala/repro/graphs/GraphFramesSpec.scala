@@ -126,7 +126,7 @@ class GraphFramesSpec extends SparkSpec {
   }
 
   test("networkStats assembles the full Table 3 row for Karate") {
-    val s = GraphFrames.networkStats(spark, "Karate", karate, withDistance = true)
+    val s = GraphFrames.networkStats("Karate", karate, withDistance = true)
     assert(s.n == 34 && s.m == 156 && s.maxOut == 17 && s.maxIn == 17)
     assert(math.abs(s.clusteringCoef - 0.26) < 0.02)
     assert(math.abs(s.avgDistance - 2.41) < 0.05)
@@ -136,7 +136,7 @@ class GraphFramesSpec extends SparkSpec {
     val empty = LocalGraph.fromEdges(4, Seq.empty)
     val spec = NetworkSpec("edgeless", starred = false, withDistance = true, () => empty)
     val Seq(row) = Tables.table3(spark, Seq(spec))
-    val direct = GraphFrames.networkStats(spark, "edgeless", empty, withDistance = true)
+    val direct = GraphFrames.networkStats("edgeless", empty, withDistance = true)
     for (s <- Seq(row, direct)) {
       assert((s.n, s.m, s.maxOut, s.maxIn, s.clusteringCoef) == (4, 0, 0, 0, 0.0))
       assert(s.avgDistance.isNaN)
