@@ -31,9 +31,6 @@ final class SimScratch(n: Int) {
     stamp += 1
     if (stamp == 0) { java.util.Arrays.fill(mark, 0); stamp = 1 }
   }
-
-  def visited(v: Int): Boolean = mark(v) == stamp
-  def visit(v: Int): Unit = { mark(v) = stamp }
 }
 
 /** The live-edge cascade: an Independent Cascade diffusion (paper §2.2)

@@ -22,10 +22,8 @@ object BenchPlan {
 
   import Instances._
 
-  private def cfg(trials: Int, oneshot: Long, snapshot: Long, ris: Long,
-                  refTheta: Long = 1L << 17): Sweep.Config =
-    Sweep.Config(trials = trials, oneshotMax = oneshot, snapshotMax = snapshot,
-                 risMax = ris, refTheta = refTheta)
+  private def cfg(trials: Int, oneshot: Long, snapshot: Long, ris: Long): Sweep.Config =
+    Sweep.Config(trials = trials, oneshotMax = oneshot, snapshotMax = snapshot, risMax = ris)
 
   private val allModels = ProbModel.all
   private val cheapModels = Seq(ProbModel.uc001, ProbModel.IWC, ProbModel.OWC)
@@ -123,13 +121,13 @@ object BenchPlan {
   * cells) compute each oracle, sweep and per-sample cost once per JVM.
   */
 object SweepStore {
-  private val oracles = TrieMap.empty[(String, String), RRSetJob]
+  private val oracles = TrieMap.empty[(NetworkSpec, ProbModel), RRSetJob]
   private val sweeps = TrieMap.empty[SweepRow, Sweep.Result]
-  private val costs = TrieMap.empty[(String, String, String, Int), Tables.PerSampleCost]
+  private val costs = TrieMap.empty[(NetworkSpec, ProbModel, Alg, Int), Tables.PerSampleCost]
 
   /** Shared RR-set oracle for one (network, model) influence graph. */
   def oracle(spark: SparkSession, spec: NetworkSpec, model: ProbModel): RRSetJob =
-    oracles.getOrElseUpdate((spec.name, model.name), {
+    oracles.getOrElseUpdate((spec, model), {
       val g = Instances.influenceGraph(spec, model)
       RRSetJob(spark, g, BenchPlan.oracleTheta(spec), seed = 909090L)
     })
@@ -146,6 +144,6 @@ object SweepStore {
     */
   def perSampleCost(spark: SparkSession, spec: NetworkSpec, model: ProbModel, alg: Alg,
                     trials: Int): Tables.PerSampleCost =
-    costs.getOrElseUpdate((spec.name, model.name, alg.name, trials),
+    costs.getOrElseUpdate((spec, model, alg, trials),
       Tables.table8Cell(spark, Instances.influenceGraph(spec, model), alg, trials))
 }

@@ -55,15 +55,16 @@ object Instances {
 
   val byName: Map[String, NetworkSpec] = all.map(s => s.name -> s).toMap
 
-  private val graphCache = TrieMap.empty[String, LocalGraph]
-  private val probCache = TrieMap.empty[(String, String), LocalGraph]
+  // Keyed by spec value, not name: a spec's `build` compares by reference.
+  private val graphCache = TrieMap.empty[NetworkSpec, LocalGraph]
+  private val probCache = TrieMap.empty[(NetworkSpec, ProbModel), LocalGraph]
 
   /** Bare graph (unit probabilities), generated once and cached. */
   def graph(spec: NetworkSpec): LocalGraph =
-    graphCache.getOrElseUpdate(spec.name, spec.build())
+    graphCache.getOrElseUpdate(spec, spec.build())
 
   /** Influence graph: bare graph with `model` probabilities, cached. */
   def influenceGraph(spec: NetworkSpec, model: ProbModel): LocalGraph =
-    probCache.getOrElseUpdate((spec.name, model.name),
+    probCache.getOrElseUpdate((spec, model),
       ProbModel.assign(graph(spec), model))
 }

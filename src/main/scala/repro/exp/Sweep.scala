@@ -64,9 +64,9 @@ object Sweep {
     x.toInt
   }
 
-  /** 1, 2, 4, …, max (inclusive if max is a power of two). */
+  /** 1, 2, 4, …, max (inclusive if max is a power of two), at most 2⁶². */
   def powersOfTwo(max: Long, min: Long = 1L): Seq[Long] =
-    Iterator.iterate(1L)(_ * 2).takeWhile(_ <= max).filter(_ >= min).toSeq
+    (0 to 62).map(1L << _).takeWhile(_ <= max).filter(_ >= min)
 
   /** The reproduction's stand-in for the paper's "Exact Greedy" limit
     * object: one deterministic greedy run on a very large RR-set collection

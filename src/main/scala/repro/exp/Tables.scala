@@ -226,10 +226,9 @@ object Tables {
     def total: Double = vertex + edge
   }
 
-  def table8Cell(spark: SparkSession, g: LocalGraph, alg: Alg, trials: Int,
-                 baseSeed: Long = 88L): PerSampleCost = {
+  def table8Cell(spark: SparkSession, g: LocalGraph, alg: Alg, trials: Int): PerSampleCost = {
     val rows = TrialRunner.runCollect(spark, g, alg, sampleNumber = 1, k = 1,
-                                      trials = trials, baseSeed = baseSeed)
+                                      trials = trials, baseSeed = 88L)
     PerSampleCost(rows.map(_.vertex_cost.toDouble).sum / rows.size,
                   rows.map(_.edge_cost.toDouble).sum / rows.size)
   }

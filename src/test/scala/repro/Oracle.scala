@@ -1,53 +1,51 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``assertEquivalent(got, sql, tables)`` loads each of ``tables`` into
+  * DuckDB (via JDBC, in-process) as VARCHAR columns, runs ``sql`` over them
+  * and asserts its rows equal ``got``'s, in any order — "it ran" is not
+  * "it is correct". Every side is a set of named columns and local rows.
   *
-  * Alias every output column identically on both sides (Spark names
-  * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * Name ``got``'s columns as ``sql`` aliases its output columns. Pass
+  * scalar values only; doubles are compared to 6 decimals.
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
+  /** Named columns and their rows, one value per column. */
+  final case class Rows(cols: Seq[String], rows: Seq[Seq[Any]])
+
+  private def canon(r: Rows): Seq[Seq[String]] = {
+    val idx = r.cols.sorted.map(r.cols.indexOf)
+    r.rows
+      .map(row => idx.map { i =>
+        row(i) match {
+          case null                     => "∅"
+          case d: Double                => f"$d%.6f"
+          case f: Float                 => f"${f.toDouble}%.6f"
           case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case x                        => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sortBy(_.mkString("\u0000")) // separated, so ("1","23") and ("12","3") differ
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  def assertEquivalent(got: Rows, sql: String, tables: (String, Rows)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
-      for ((name, df) <- tables) {
-        val cols = df.columns
+      for ((name, t) <- tables) {
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE $name (${t.cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
-        // Collect once; this is an oracle, not a bench — keep tables small.
+        // Loaded row by row; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
+          s"INSERT INTO $name VALUES (${t.cols.map(_ => "?").mkString(",")})"
         )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+        t.rows.foreach { r =>
+          t.cols.indices.foreach(i => ps.setString(i + 1, Option(r(i)).map(_.toString).orNull))
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()
@@ -58,19 +56,18 @@ object Oracle {
       val dRows = Iterator
         .continually(rs)
         .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
+        .map(r => dCols.indices.map(i => r.getObject(i + 1)))
         .toSeq
-      val sCols = sparkDf.columns.toSeq
       require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+        dCols.map(_.toLowerCase).toSet == got.cols.map(_.toLowerCase).toSet,
+        s"column mismatch: got=${got.cols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
+      val g = canon(got)
+      val exp = canon(Rows(dCols, dRows))
+      require(g == exp,
+        s"result mismatch (${g.size} vs ${exp.size} rows):\n" +
+        s"  first got-only:  ${g.diff(exp).take(3)}\n" +
+        s"  first duck-only: ${exp.diff(g).take(3)}"
       )
     } finally conn.close()
   }

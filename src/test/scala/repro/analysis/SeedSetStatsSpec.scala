@@ -1,9 +1,9 @@
 package repro.analysis
 
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle
 
-class SeedSetStatsSpec extends SparkSpec {
-  import spark.implicits._
+class SeedSetStatsSpec extends AnyFunSuite {
 
   test("entropy of a degenerate distribution is 0") {
     assert(SeedSetStats.entropyOfKeys(Seq("a", "a", "a", "a")) == 0.0)
@@ -35,13 +35,13 @@ class SeedSetStatsSpec extends SparkSpec {
 
   test("entropyOfKeys agrees with DuckDB (oracle)") {
     val keys = Seq.fill(6)("a") ++ Seq.fill(3)("b") ++ Seq.fill(1)("c")
-    val local = Seq(math.round(SeedSetStats.entropyOfKeys(keys) * 1e6) / 1e6).toDF("entropy")
+    val local = math.round(SeedSetStats.entropyOfKeys(keys) * 1e6) / 1e6
     Oracle.assertEquivalent(
-      local,
+      Oracle.Rows(Seq("entropy"), Seq(Seq(local))),
       """SELECT ROUND(-SUM(p * LOG2(p)), 6) AS entropy
         |FROM (SELECT COUNT(*) * 1.0 / (SELECT COUNT(*) FROM trials) AS p
         |      FROM trials GROUP BY seed_key)""".stripMargin,
-      "trials" -> keys.toDF("seed_key"),
+      "trials" -> Oracle.Rows(Seq("seed_key"), keys.map(Seq(_))),
     )
   }
 }

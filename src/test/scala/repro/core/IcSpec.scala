@@ -83,20 +83,21 @@ class IcSpec extends AnyFunSuite {
 
   test("SimScratch reset gives a clean visited state in O(1)") {
     val s = new SimScratch(3)
-    s.reset(); s.visit(0); s.visit(2)
-    assert(s.visited(0) && !s.visited(1) && s.visited(2))
+    def visited(v: Int) = s.mark(v) == s.stamp
+    s.reset(); s.mark(0) = s.stamp; s.mark(2) = s.stamp
+    assert(visited(0) && !visited(1) && visited(2))
     s.reset()
-    assert(!s.visited(0) && !s.visited(1) && !s.visited(2))
+    assert(!visited(0) && !visited(1) && !visited(2))
   }
 
   test("SimScratch reset past the last stamp clears the marks and restarts at 1") {
     val s = new SimScratch(3)
-    s.reset(); s.visit(1)
+    s.reset(); s.mark(1) = s.stamp
     s.stamp = -1
-    s.visit(2)
+    s.mark(2) = s.stamp
     s.reset()
     assert(s.stamp == 1)
-    assert((0 until 3).forall(v => !s.visited(v)))
+    assert((0 until 3).forall(v => s.mark(v) != s.stamp))
   }
 
   test("Costs += accumulates both counters") {

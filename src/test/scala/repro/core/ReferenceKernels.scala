@@ -19,8 +19,8 @@ object ReferenceKernels {
     var i = 0
     while (i < seedCount) {
       val s = seeds(i)
-      if (!scratch.visited(s)) {
-        scratch.visit(s)
+      if (scratch.mark(s) != scratch.stamp) {
+        scratch.mark(s) = scratch.stamp
         scratch.queue(tail) = s; tail += 1
       }
       i += 1
@@ -34,8 +34,8 @@ object ReferenceKernels {
         costs.edge += 1
         val w = g.outDst(e)
         val live = rng.nextDouble() < g.outProb(e)
-        if (live && !scratch.visited(w)) {
-          scratch.visit(w)
+        if (live && scratch.mark(w) != scratch.stamp) {
+          scratch.mark(w) = scratch.stamp
           scratch.queue(tail) = w; tail += 1
         }
         e += 1
@@ -48,7 +48,7 @@ object ReferenceKernels {
   def generateFor(g: LocalGraph, z: Int, rng: SplittableRandom,
                   scratch: SimScratch, costs: Costs): Array[Int] = {
     scratch.reset()
-    scratch.visit(z)
+    scratch.mark(z) = scratch.stamp
     scratch.queue(0) = z
     var head = 0
     var tail = 1
@@ -61,8 +61,8 @@ object ReferenceKernels {
         costs.edge += 1
         val u = g.inSrc(e)
         val live = rng.nextDouble() < g.inProb(e)
-        if (live && !scratch.visited(u)) {
-          scratch.visit(u)
+        if (live && scratch.mark(u) != scratch.stamp) {
+          scratch.mark(u) = scratch.stamp
           scratch.queue(tail) = u; tail += 1
         }
         e += 1
@@ -124,7 +124,7 @@ object ReferenceKernels {
       val dst = snapDst(i)
       val rem = removed(i)
       scratch.reset()
-      scratch.visit(v)
+      scratch.mark(v) = scratch.stamp
       scratch.queue(0) = v
       var head = 0
       var tail = 1
@@ -135,8 +135,8 @@ object ReferenceKernels {
         while (e < off(u + 1)) {
           costsAcc.edge += 1
           val w = dst(e)
-          if (!scratch.visited(w) && !rem(w)) {
-            scratch.visit(w)
+          if (scratch.mark(w) != scratch.stamp && !rem(w)) {
+            scratch.mark(w) = scratch.stamp
             scratch.queue(tail) = w; tail += 1
           }
           e += 1

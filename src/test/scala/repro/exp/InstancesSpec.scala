@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graphs.ProbModel
+import repro.graphs.{LocalGraph, ProbModel}
 
 class InstancesSpec extends AnyFunSuite {
 
@@ -102,5 +102,17 @@ class InstancesSpec extends AnyFunSuite {
     assert(Sweep.powersOfTwo(9) == Seq(1L, 2L, 4L, 8L))
     assert(Sweep.powersOfTwo(8, min = 2) == Seq(2L, 4L, 8L))
     assert(Sweep.powersOfTwo(0) == Seq.empty)
+    // Ends at 2^62: doubling it would overflow.
+    val top = Sweep.powersOfTwo(Long.MaxValue)
+    assert(top.size == 63 && top.last == 1L << 62)
+  }
+
+  test("graph caches are keyed by spec, not by name") {
+    val a = NetworkSpec("same-name", starred = false, withDistance = false,
+                        () => LocalGraph.fromEdges(3, Seq((0, 1))))
+    val b = a.copy(build = () => LocalGraph.fromEdges(5, Seq((0, 1))))
+    assert(Instances.graph(a).n == 3 && Instances.graph(b).n == 5)
+    assert(Instances.influenceGraph(a, ProbModel.IWC).n == 3)
+    assert(Instances.influenceGraph(b, ProbModel.IWC).n == 5)
   }
 }

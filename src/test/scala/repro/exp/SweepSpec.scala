@@ -121,6 +121,14 @@ class SweepSpec extends SparkSpec {
     assert(e.getMessage.contains("trials=0"))
   }
 
+  test("a grid maximum of Long.MaxValue fails before any job, naming the value") {
+    val e = intercept[IllegalArgumentException] {
+      Sweep.run(spark, g, oracle, k = 1,
+        Sweep.Config(trials = 1, oneshotMax = Long.MaxValue, snapshotMax = 2, risMax = 2))
+    }
+    assert(e.getMessage.contains("Oneshot sample number=2147483648 exceeds Int.MaxValue"))
+  }
+
   test("all grid maxima 0: no job and no points") {
     assert(oracle.g eq g) // built before counting jobs
     val (r, jobs) = jobsStartedBy {

@@ -27,43 +27,45 @@ class GraphFramesSpec extends SparkSpec {
     assert(row.getLong(1) == karate.maxInDeg)
   }
 
-  test("degreeExtremes agrees with DuckDB (oracle)") {
+  /** `g`'s `(src, dst)` rows as the DuckDB table `edges`. */
+  private def edgeRows(g: LocalGraph): (String, Oracle.Rows) =
+    "edges" -> Oracle.Rows(Seq("src", "dst"), g.edges.map { case (u, v, _) => Seq(u, v) })
+
+  test("maxOutDeg and maxInDeg agree with DuckDB (oracle)") {
     Oracle.assertEquivalent(
-      GraphFrames.degreeExtremes(karateEdges),
+      Oracle.Rows(Seq("max_out", "max_in"), Seq(Seq(karate.maxOutDeg, karate.maxInDeg))),
       """SELECT (SELECT MAX(d) FROM (SELECT COUNT(*) AS d FROM edges GROUP BY src)) AS max_out,
         |       (SELECT MAX(d) FROM (SELECT COUNT(*) AS d FROM edges GROUP BY dst)) AS max_in""".stripMargin,
-      "edges" -> karateEdges,
+      edgeRows(karate),
     )
   }
 
   test("out-degree histogram agrees with DuckDB (oracle)") {
-    import org.apache.spark.sql.functions._
-    val sparkDf = karateEdges.groupBy("src").agg(count("*") as "deg")
     Oracle.assertEquivalent(
-      sparkDf,
+      Oracle.Rows(Seq("src", "deg"),
+        (0 until karate.n).filter(karate.outDeg(_) > 0).map(v => Seq(v, karate.outDeg(v)))),
       "SELECT src, COUNT(*) AS deg FROM edges GROUP BY src",
-      "edges" -> karateEdges,
+      edgeRows(karate),
     )
   }
+
+  private def cc(g: LocalGraph): Double = GraphFrames.clusteringCoefficient(GraphFrames.Skeleton(g))
 
   test("clustering coefficient of a triangle is 1") {
     val g = LocalGraph.fromEdges(3,
       Seq((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)))
-    val cc = GraphFrames.clusteringCoefficient(spark, GraphFrames.edgesDf(spark, g))
-    assert(math.abs(cc - 1.0) < 1e-9)
+    assert(math.abs(cc(g) - 1.0) < 1e-9)
   }
 
   test("clustering coefficient of a star is 0") {
     val g = LocalGraph.fromEdges(5, (1 until 5).flatMap(v => Seq((0, v), (v, 0))))
-    val cc = GraphFrames.clusteringCoefficient(spark, GraphFrames.edgesDf(spark, g))
-    assert(cc == 0.0)
+    assert(cc(g) == 0.0)
   }
 
   test("clustering coefficient of K4 is 1") {
     val edges = for (u <- 0 until 4; v <- 0 until 4 if u != v) yield (u, v)
     val g = LocalGraph.fromEdges(4, edges)
-    val cc = GraphFrames.clusteringCoefficient(spark, GraphFrames.edgesDf(spark, g))
-    assert(math.abs(cc - 1.0) < 1e-9)
+    assert(math.abs(cc(g) - 1.0) < 1e-9)
   }
 
   test("clustering coefficient of a 4-cycle plus one chord") {
@@ -71,23 +73,20 @@ class GraphFramesSpec extends SparkSpec {
     // degrees 3,2,3,2 -> triplets 3+1+3+1=8; cc = 3*2/8 = 0.75.
     val und = Seq((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
     val g = LocalGraph.fromEdges(4, und.flatMap { case (a, b) => Seq((a, b), (b, a)) })
-    val cc = GraphFrames.clusteringCoefficient(spark, GraphFrames.edgesDf(spark, g))
-    assert(math.abs(cc - 0.75) < 1e-9)
+    assert(math.abs(cc(g) - 0.75) < 1e-9)
   }
 
   test("Karate clustering coefficient matches the paper's 0.26 (±0.02)") {
-    val cc = GraphFrames.clusteringCoefficient(spark, karateEdges)
-    assert(math.abs(cc - 0.26) < 0.02, s"cc=$cc")
+    assert(math.abs(cc(karate) - 0.26) < 0.02, s"cc=${cc(karate)}")
   }
 
+  // Karate plus a self-loop and two duplicate edges, which the skeleton drops.
+  private lazy val messy = LocalGraph.fromEdges(karate.n,
+    karate.edges.map { case (u, v, _) => (u, v) } ++ Seq((0, 0), (0, 1), (5, 0)))
+
   test("clusteringCoefficient agrees with DuckDB 3·triangles/triplets (oracle)") {
-    import spark.implicits._
-    // Karate plus a self-loop and two duplicate edges, which the skeleton drops.
-    val messy = LocalGraph.fromEdges(karate.n,
-      karate.edges.map { case (u, v, _) => (u, v) } ++ Seq((0, 0), (0, 1), (5, 0)))
-    val edges = GraphFrames.edgesDf(spark, messy)
     Oracle.assertEquivalent(
-      Seq(GraphFrames.clusteringCoefficient(spark, edges)).toDF("cc"),
+      Oracle.Rows(Seq("cc"), Seq(Seq(cc(messy)))),
       """WITH und AS (SELECT DISTINCT LEAST(CAST(src AS INTEGER), CAST(dst AS INTEGER)) AS a,
         |                            GREATEST(CAST(src AS INTEGER), CAST(dst AS INTEGER)) AS b
         |             FROM edges WHERE src <> dst),
@@ -98,8 +97,13 @@ class GraphFramesSpec extends SparkSpec {
         |                         JOIN und ac ON ac.a = ab.a AND ac.b = bc.b)
         |SELECT 3.0 * CAST((SELECT t FROM tri) AS DOUBLE)
         |           / CAST((SELECT SUM(d * (d - 1) / 2) FROM deg) AS DOUBLE) AS cc""".stripMargin,
-      "edges" -> edges,
+      edgeRows(messy),
     )
+  }
+
+  test("the clusteringCoefficient DataFrame adapter equals the skeleton kernel") {
+    for (g <- Seq(karate, messy))
+      assert(GraphFrames.clusteringCoefficient(spark, GraphFrames.edgesDf(spark, g)) == cc(g))
   }
 
   test("average distance of a directed 3-path's undirected skeleton") {

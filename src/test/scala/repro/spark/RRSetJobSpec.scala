@@ -1,7 +1,6 @@
 package repro.spark
 
 import java.util.SplittableRandom
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{Costs, ExactInfluence, RRSets, SimScratch}
 import repro.graphs.{GraphGen, LocalGraph, ProbModel}
@@ -71,25 +70,23 @@ class RRSetJobSpec extends SparkSpec {
   }
 
   test("coverage counting agrees with DuckDB (oracle check of the join)") {
-    import spark.implicits._
     val small = RRSetJob(spark, tiny, 2000, seed = 6)
     val membership = lists(small.invertedIndex).zipWithIndex
-      .flatMap { case (ids, v) => ids.map(id => (id, v)) }
-      .toDF("rr_id", "vertex")
-    val seedSets = Seq(("a", 0), ("b", 1), ("b", 3)).toDF("set_key", "vertex")
+      .flatMap { case (ids, v) => ids.map(id => Seq(id, v)) }
+    val seedSets = Seq(Seq("a", 0), Seq("b", 1), Seq("b", 3))
     val inf = small.influenceOfSets(Seq(Seq(0), Seq(1, 3)))
-    val sparkDf = Seq(("a", inf("0")), ("b", inf("1,3"))).toDF("set_key", "influence")
-      .select(col("set_key"), round(col("influence"), 6) as "influence")
+    def round6(x: Double): Double = math.round(x * 1e6) / 1e6
     Oracle.assertEquivalent(
-      sparkDf,
+      Oracle.Rows(Seq("set_key", "influence"),
+                  Seq(Seq("a", round6(inf("0"))), Seq("b", round6(inf("1,3"))))),
       s"""SELECT s.set_key,
          |       ROUND(COUNT(DISTINCT m.rr_id) * 4.0 / 2000, 6) AS influence
          |FROM (SELECT DISTINCT set_key FROM seed_sets) s
          |LEFT JOIN seed_sets ss ON ss.set_key = s.set_key
          |LEFT JOIN membership m ON m.vertex = ss.vertex
          |GROUP BY s.set_key""".stripMargin,
-      "membership" -> membership,
-      "seed_sets" -> seedSets,
+      "membership" -> Oracle.Rows(Seq("rr_id", "vertex"), membership),
+      "seed_sets" -> Oracle.Rows(Seq("set_key", "vertex"), seedSets),
     )
   }
 
