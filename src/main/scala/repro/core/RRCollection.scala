@@ -12,8 +12,7 @@ import repro.graphs.LiveEdges
   * @param offsets set boundaries into `members`, length `size + 1`
   * @param members concatenated set members
   */
-final class RRCollection(val n: Int, val offsets: Array[Int], val members: Array[Int])
-    extends Serializable {
+final class RRCollection(val n: Int, val offsets: Array[Int], val members: Array[Int]) {
   require(offsets.nonEmpty && offsets.last == members.length,
           "offsets must end at the member count")
 

@@ -161,12 +161,13 @@ object Tables {
 
   // ------------------------------------------------------------ Tables 6, 7
 
-  /** One entry per (network, k) of `rows`, in plan order, with `cell` of
-    * the row of each model in `models` order (None where there is no row).
+  /** One entry per (network spec, k) of `rows`, in plan order, with the
+    * network's name and `cell` of the row of each model in `models` order
+    * (None where there is no row).
     */
   private def perModel[A](rows: Seq[SweepRow])(cell: SweepRow => A): Seq[(String, Int, Seq[Option[A]])] =
-    rows.map(r => (r.network.name, r.k)).distinct.map { case (net, k) =>
-      (net, k, models.map(m => rows.find(r => r.network.name == net && r.model == m && r.k == k).map(cell)))
+    rows.map(r => (r.network, r.k)).distinct.map { case (net, k) =>
+      (net.name, k, models.map(m => rows.find(r => r.network == net && r.model == m && r.k == k).map(cell)))
     }
 
   /** Table 6 cell: median comparable number ratio of Oneshot to Snapshot. */
@@ -274,11 +275,11 @@ object Tables {
              costRows: Seq[BenchPlan.Table8Row], sweepRows: Seq[SweepRow]): Seq[ConditionedCost] =
     (for {
       net <- networks
-      t8 = costRows.find(_.network.name == net.name).get
+      t8 = costRows.find(_.network == net).get
       alg <- t8.algs
     } yield ConditionedCost(net.name, alg.name, models.map { model =>
       for {
-        row <- sweepRows.find(r => r.network.name == net.name && r.model == model && r.k == 1)
+        row <- sweepRows.find(r => r.network == net && r.model == model && r.k == 1)
         if t8.models.contains(model)
         sweep = SweepStore.sweep(spark, row)
         ratio <- alg match {

@@ -6,7 +6,7 @@ package repro.graphs
   *
   * The graph is immutable and `Serializable`; the trial runner broadcasts
   * one instance to all Spark executors and every sampling kernel runs
-  * against it locally. The RR-set oracle ships only [[inEdges]].
+  * against it locally. The RR-set oracle reads [[inEdges]] on the driver.
   *
   * @param n          number of vertices, ids are `0 until n`
   * @param outOffsets CSR row offsets into `outDst`/`outProb`, length n+1
@@ -33,8 +33,7 @@ final class LocalGraph(
     new LiveEdges(n, outOffsets, outDst, outProb.map(LocalGraph.threshold))
 
   /** The reverse adjacency as [[LiveEdges]]: what RR-set generation reads.
-    * Built on first use and not serialized with the graph; the oracle ships
-    * it on its own instead.
+    * Built on first use, never serialized.
     */
   @transient lazy val inEdges: LiveEdges =
     new LiveEdges(n, inOffsets, inSrc, inProb.map(LocalGraph.threshold))
@@ -143,7 +142,9 @@ object LocalGraph {
 /** One direction of a [[LocalGraph]]'s adjacency with its live-edge
   * thresholds, in CSR form: what a live-edge cascade reads. The out-edges
   * give forward IC; the in-edges give RR sets, the forward cascade on the
-  * transposed graph. Serialized whole, thresholds included.
+  * transposed graph. `Serializable` with its thresholds, though the
+  * program ships neither direction: a serialized [[LocalGraph]] drops both
+  * and rebuilds them on first use.
   *
   * @param n         number of vertices, ids are `0 until n`
   * @param offsets   CSR row offsets into `adj`/`threshold`, length n+1

@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
-import repro.graphs.ProbModel
+import repro.graphs.{LocalGraph, ProbModel}
 
 /** The table path of Tables 4–9 end to end on a reduced Karate-only plan
   * (small T and grids, Karate's single oracle θ), pinned as rendered lines.
@@ -84,6 +84,25 @@ class TablesSmokeSpec extends SparkSpec {
       "[table9] Karate         RIS               15.50             -         251.6         274.4",
       "[table9] Karate         Snapshot          101.4         37.50         210.5         266.1",
     ))
+  }
+
+  test("plan rows are matched by network spec, not by network name") {
+    val a = NetworkSpec("twin", starred = false, withDistance = false,
+                        () => LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3))))
+    val b = a.copy(build = () => LocalGraph.fromEdges(4, Seq((0, 1), (0, 2), (0, 3))))
+    val small = Sweep.Config(trials = 4, oneshotMax = 2, snapshotMax = 2, risMax = 4,
+                             refTheta = 1L << 10)
+    val rows = for (spec <- Seq(a, b); model <- Seq(ProbModel.IWC, ProbModel.OWC))
+      yield SweepRow(spec, model, 1, small)
+    val perSpec = rows.grouped(2).toSeq
+    assert(Tables.table6(spark, rows) == perSpec.flatMap(Tables.table6(spark, _)))
+    assert(Tables.table7(spark, rows) == perSpec.flatMap(Tables.table7(spark, _)))
+    // Each spec's Table 9 cells follow its own Table 8 models: IWC for a, OWC for b.
+    val costs = Seq(BenchPlan.Table8Row(a, Seq(ProbModel.IWC), withOneshot = false, trials = 2),
+                    BenchPlan.Table8Row(b, Seq(ProbModel.OWC), withOneshot = false, trials = 2))
+    val snapshot = Tables.table9(spark, Seq(a, b), costs, rows).filter(_.alg == "Snapshot")
+    assert(snapshot.map(_.costs.map(_.isDefined)) ==
+             Seq(Seq(false, false, true, false), Seq(false, false, false, true)))
   }
 
   test("Main without a table 3-9 fails with a usage message naming them") {

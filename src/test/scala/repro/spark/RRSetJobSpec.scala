@@ -1,8 +1,9 @@
 package repro.spark
 
 import java.util.SplittableRandom
+import scala.jdk.CollectionConverters._
 import repro.{Oracle, SparkSpec}
-import repro.core.{Costs, ExactInfluence, RRSets, SimScratch}
+import repro.core.{Costs, ExactInfluence, RRCollection, RRSets, SimScratch}
 import repro.graphs.{GraphGen, LocalGraph, ProbModel}
 
 class RRSetJobSpec extends SparkSpec {
@@ -31,6 +32,30 @@ class RRSetJobSpec extends SparkSpec {
       val expected = (0 until tiny.n).map(v => sets.indices.filter(i => sets(i)(v)))
       assert(lists(RRSetJob(spark, tiny, theta, seed).invertedIndex) == expected, s"theta=$theta")
     }
+  }
+
+  test("the inverted index does not depend on the number of drawing threads") {
+    val g = ProbModel.assign(GraphGen.karate(), ProbModel.IWC)
+    val theta = 5L * RRSetJob.BlockSize + 7
+    val (offsets, ids) = RRSetJob(spark, g, theta, seed = 3).invertedIndex
+    // 1 thread, 3 threads, and more threads than the 6 blocks.
+    for (threads <- Seq(1, 3, 16)) {
+      val (o, i) = RRCollection.invert(g.n, RRSetJob.blocks(g.inEdges, theta, 3, threads))
+      assert(o.toSeq == offsets.toSeq && i.toSeq == ids.toSeq, s"threads=$threads")
+    }
+  }
+
+  test("a failing block surfaces its own exception and leaves no drawing thread alive") {
+    // inOffsets run past inSrc, so every RR set reads beyond the in-edges.
+    val bad = new LocalGraph(1, Array(0, 0), Array.empty, Array.empty,
+                             Array(0, 2), Array(0), Array(1.0))
+    val sequential = intercept[Throwable](RRCollection.generate(
+      bad.inEdges, RRSetJob.BlockSize, new SplittableRandom(1), new Costs))
+    val built = intercept[Throwable](RRSetJob(spark, bad, 4L * RRSetJob.BlockSize, seed = 1))
+    assert(built.getClass == sequential.getClass, built)
+    val alive = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
+      .filter(_.startsWith(RRSetJob.ThreadName))
+    assert(alive.isEmpty, alive)
   }
 
   test("every RR set contains at least its target (non-empty)") {
