@@ -13,7 +13,12 @@ final case class GreedyResult(
     sampleSize: Long,
 ) {
   /** Canonical order-insensitive identity of the seed set. */
-  def seedSetKey: String = seeds.sorted.mkString(",")
+  def seedSetKey: String = GreedyResult.keyOf(seeds)
+}
+
+object GreedyResult {
+  /** The key of a seed set given in any order: its ids ascending, joined by `,`. */
+  def keyOf(ids: collection.Seq[Int]): String = ids.sorted.mkString(",")
 }
 
 /** The paper's Algorithm 3.1: simple greedy framework.

@@ -7,11 +7,10 @@ import repro.graphs.LiveEdges
   * efficiency metric (§3.2): `vertex` counts vertices examined (possibly
   * repeatedly), `edge` counts edges examined.
   */
-final class Costs extends Serializable {
+final class Costs {
   var vertex: Long = 0L
   var edge: Long = 0L
 
-  def +=(other: Costs): Unit = { vertex += other.vertex; edge += other.edge }
   override def toString: String = s"Costs(vertex=$vertex, edge=$edge)"
 }
 

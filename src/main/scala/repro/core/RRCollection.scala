@@ -6,7 +6,7 @@ import repro.graphs.LiveEdges
 /** A batch of RR sets in one flat format: set `i` is
   * `members(offsets(i) until offsets(i + 1))`, in BFS order from its target.
   * The RIS estimator and the shared influence oracle both store their RR sets
-  * this way; [[invert]] gives the vertex → set-id index both of them read.
+  * this way; [[RRCollection.invert]] gives the vertex → set-id index both of them read.
   *
   * @param n       vertex count of the graph the sets were drawn on
   * @param offsets set boundaries into `members`, length `size + 1`
@@ -21,11 +21,6 @@ final class RRCollection(val n: Int, val offsets: Array[Int], val members: Array
 
   /** Stored RR-set vertices Σ|R| — the RIS sample size of paper Table 1. */
   def storedVertices: Long = members.length.toLong
-
-  /** Inverted index vertex → ids of the sets containing it, in CSR form
-    * `(vertexOffsets, setIds)`; see [[RRCollection.invert]].
-    */
-  def invert(): (Array[Int], Array[Int]) = RRCollection.invert(n, Seq(this))
 }
 
 object RRCollection {

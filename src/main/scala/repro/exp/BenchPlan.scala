@@ -127,17 +127,13 @@ object SweepStore {
 
   /** Shared RR-set oracle for one (network, model) influence graph. */
   def oracle(spark: SparkSession, spec: NetworkSpec, model: ProbModel): RRSetJob =
-    oracles.getOrElseUpdate((spec, model), {
-      val g = Instances.influenceGraph(spec, model)
-      RRSetJob(spark, g, BenchPlan.oracleTheta(spec), seed = 909090L)
-    })
+    oracles.getOrElseUpdate((spec, model), RRSetJob(spark, Instances.influenceGraph(spec, model),
+                                                    BenchPlan.oracleTheta(spec), seed = 909090L))
 
   /** Sweep result for one plan row, computed on first request. */
   def sweep(spark: SparkSession, row: SweepRow): Sweep.Result =
-    sweeps.getOrElseUpdate(row, {
-      val g = Instances.influenceGraph(row.network, row.model)
-      Sweep.run(spark, g, oracle(spark, row.network, row.model), row.k, row.cfg)
-    })
+    sweeps.getOrElseUpdate(row, Sweep.run(spark, Instances.influenceGraph(row.network, row.model),
+                                          oracle(spark, row.network, row.model), row.k, row.cfg))
 
   /** Table 8 per-sample cost of one (network, model, alg) over `trials`
     * trials, computed on first request; Table 9 reads the same cells.

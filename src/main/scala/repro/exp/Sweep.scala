@@ -3,7 +3,7 @@ package repro.exp
 import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
 import repro.analysis.{ComparableRatio, SeedSetStats}
-import repro.core.{Greedy, Ris}
+import repro.core.{Greedy, GreedyResult, Ris}
 import repro.graphs.LocalGraph
 import repro.spark.{Alg, RRSetJob, Trial, TrialRow, TrialRunner}
 import scala.concurrent.{Await, ExecutionContext, Future}
@@ -27,10 +27,7 @@ object Sweep {
       meanSampleSize: Double,
       meanVertexCost: Double,
       meanEdgeCost: Double,
-  ) {
-    def toRatioPoint: ComparableRatio.Point =
-      ComparableRatio.Point(sampleNumber, meanInfluence, meanSampleSize)
-  }
+  )
 
   /** Full sweep over the three algorithms on one instance. */
   final case class Result(
@@ -41,7 +38,7 @@ object Sweep {
     def curve(alg: Alg): Seq[Point] =
       points.filter(_.alg == alg.name).sortBy(_.sampleNumber)
     def ratioCurve(alg: Alg): Seq[ComparableRatio.Point] =
-      curve(alg).map(_.toRatioPoint)
+      curve(alg).map(p => ComparableRatio.Point(p.sampleNumber, p.meanInfluence, p.meanSampleSize))
   }
 
   /** Per-algorithm sample-number grids plus trial count. A grid maximum of
@@ -70,7 +67,7 @@ object Sweep {
 
   /** The reproduction's stand-in for the paper's "Exact Greedy" limit
     * object: one deterministic greedy run on a very large RR-set collection
-    * (`refTheta`). Returns the canonical seed-set key.
+    * (`refTheta`). Returns the seed set, ids ascending.
     */
   def referenceSeedSet(g: LocalGraph, k: Int, refTheta: Long, seed: Long): Seq[Int] = {
     val est = new Ris(g, toInt("refTheta", refTheta))
@@ -79,9 +76,10 @@ object Sweep {
   }
 
   /** Runs the full sweep for seed size `k` on influence graph `g`, using
-    * `oracle` (built on the same graph) for influence evaluation. All
-    * trials of the sweep run as one Spark job (see [[TrialRunner.runTrials]]),
-    * while the driver computes the reference seed set.
+    * `oracle` for influence evaluation; it must be built on `g` (see
+    * [[LocalGraph.sameAs]]). All trials of the sweep run as one Spark job
+    * (see [[TrialRunner.runTrials]]), while the driver computes the
+    * reference seed set.
     */
   def run(spark: SparkSession, g: LocalGraph, oracle: RRSetJob, k: Int,
           cfg: Config): Result = runWithRows(spark, g, oracle, k, cfg)._1
@@ -91,8 +89,7 @@ object Sweep {
     */
   private[exp] def runWithRows(spark: SparkSession, g: LocalGraph, oracle: RRSetJob,
                                k: Int, cfg: Config): (Result, Seq[(Alg, Int, Seq[TrialRow])]) = {
-    require(oracle.g.n == g.n && oracle.g.m == g.m,
-            "oracle must be built on the same influence graph")
+    require(oracle.g.sameAs(g), "oracle must be built on the same influence graph")
     require(cfg.trials >= 1, s"trials=${cfg.trials} must be >= 1")
     // Narrowed up front, so an oversized grid fails before any trial runs.
     val refTheta = toInt("refTheta", cfg.refTheta)
@@ -112,7 +109,7 @@ object Sweep {
     val allRows = TrialRunner.runTrials(spark, g, trials)
     val refSet = Await.result(ref, Duration.Inf)
     val raw = grid.zip(allRows.grouped(cfg.trials).toSeq).map { case ((alg, s), rows) => (alg, s, rows) }
-    val refKey = refSet.mkString(",")
+    val refKey = GreedyResult.keyOf(refSet)
     val allSets: Seq[Seq[Int]] = (allRows.map(_.seed_set) :+ refSet).distinct
     val infByKey = oracle.influenceOfSets(allSets)
     val points = raw.map { case (alg, s, rows) =>

@@ -2,6 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.analysis.{ComparableRatio, InfluenceStats}
+import repro.core.GreedyResult
 import repro.graphs.{GraphFrames, LocalGraph, ProbModel}
 import repro.spark.{Alg, RRSetJob, TrialRunner}
 
@@ -53,7 +54,7 @@ object Tables {
   def table4Row(oracle: RRSetJob, top: Int = 3): Seq[Double] = {
     val vs = topByCount(oracle.invertedIndex._1, top)
     val inf = oracle.influenceOfSets(vs.map(Seq(_)))
-    vs.map(v => inf(v.toString))
+    vs.map(v => inf(GreedyResult.keyOf(Seq(v))))
   }
 
   /** The first `top` vertices (all of them when fewer) of the CSR index

@@ -56,6 +56,14 @@ object GraphGen {
     LocalGraph.fromEdges(34, edges)
   }
 
+  /** A preferential endpoint: uniform in `0 until n` while `pool` is empty or
+    * with probability `uniform`, else a uniform (degree-biased) `pool` entry.
+    */
+  private def preferential(pool: ArrayBuffer[Int], uniform: Double, n: Int,
+                           rng: SplittableRandom): Int =
+    if (pool.isEmpty || rng.nextDouble() < uniform) rng.nextInt(n)
+    else pool(rng.nextInt(pool.size))
+
   /** Barabási–Albert preferential attachment [1, 4]: starts from `m0 = bigM`
     * isolated vertices; every later vertex attaches to `min(bigM, existing)`
     * distinct earlier vertices chosen with probability proportional to
@@ -147,8 +155,7 @@ object GraphGen {
     while (added < extraEdges && guard < 100 * extraEdges) {
       guard += 1
       val a = rng.nextInt(n)
-      val b = if (hubEndpoints.isEmpty || rng.nextDouble() < 0.25) rng.nextInt(n)
-              else hubEndpoints(rng.nextInt(hubEndpoints.size))
+      val b = preferential(hubEndpoints, 0.25, n, rng)
       if (add(a, b)) {
         hubEndpoints += a; hubEndpoints += b; hubEndpoints += b
         added += 1
@@ -173,15 +180,9 @@ object GraphGen {
     val seen = new java.util.HashSet[Long](m * 2)
     val edges = new ArrayBuffer[(Int, Int)](m)
     while (edges.size < m) {
-      val u =
-        if (outEndpoints.isEmpty || rng.nextDouble() < srcUniform) rng.nextInt(n)
-        else outEndpoints(rng.nextInt(outEndpoints.size))
-      val v =
-        if (inEndpoints.isEmpty || rng.nextDouble() < dstUniform) rng.nextInt(n)
-        else inEndpoints(rng.nextInt(inEndpoints.size))
-      val key = u.toLong * n + v
-      if (u != v && !seen.contains(key)) {
-        seen.add(key)
+      val u = preferential(outEndpoints, srcUniform, n, rng)
+      val v = preferential(inEndpoints, dstUniform, n, rng)
+      if (u != v && seen.add(u.toLong * n + v)) {
         edges += ((u, v))
         outEndpoints += u
         inEndpoints += v
@@ -215,12 +216,8 @@ object GraphGen {
       var guard = 0
       while (made < outDeg(u) && guard < 1000 * maxOut) {
         guard += 1
-        val v =
-          if (inEndpoints.isEmpty || rng.nextDouble() < 0.55) rng.nextInt(n)
-          else inEndpoints(rng.nextInt(inEndpoints.size))
-        val key = u.toLong * n + v
-        if (v != u && !seen.contains(key)) {
-          seen.add(key)
+        val v = preferential(inEndpoints, 0.55, n, rng)
+        if (v != u && seen.add(u.toLong * n + v)) {
           edges += ((u, v))
           inEndpoints += v
           made += 1

@@ -6,7 +6,8 @@ package repro.graphs
   *
   * The graph is immutable and `Serializable`; the trial runner broadcasts
   * one instance to all Spark executors and every sampling kernel runs
-  * against it locally. The RR-set oracle reads [[inEdges]] on the driver.
+  * against it locally; its [[LiveEdges]] directions are `@transient`, so
+  * each JVM rebuilds them. The RR-set oracle reads [[inEdges]] on the driver.
   *
   * @param n          number of vertices, ids are `0 until n`
   * @param outOffsets CSR row offsets into `outDst`/`outProb`, length n+1
@@ -37,6 +38,11 @@ final class LocalGraph(
     */
   @transient lazy val inEdges: LiveEdges =
     new LiveEdges(n, inOffsets, inSrc, inProb.map(LocalGraph.threshold))
+
+  /** Whether `o` is this instance or has equal arrays in both directions. */
+  def sameAs(o: LocalGraph): Boolean = (this eq o) || n == o.n && java.util.Arrays.deepEquals(
+    Array[AnyRef](outOffsets, outDst, outProb, inOffsets, inSrc, inProb),
+    Array[AnyRef](o.outOffsets, o.outDst, o.outProb, o.inOffsets, o.inSrc, o.inProb))
 
   /** Number of directed edges. */
   def m: Int = outDst.length
@@ -142,9 +148,9 @@ object LocalGraph {
 /** One direction of a [[LocalGraph]]'s adjacency with its live-edge
   * thresholds, in CSR form: what a live-edge cascade reads. The out-edges
   * give forward IC; the in-edges give RR sets, the forward cascade on the
-  * transposed graph. `Serializable` with its thresholds, though the
-  * program ships neither direction: a serialized [[LocalGraph]] drops both
-  * and rebuilds them on first use.
+  * transposed graph. Not `Serializable`: a serialized [[LocalGraph]]
+  * drops both directions and rebuilds them on first use, so a task that
+  * captures one fails with Spark's "Task not serializable".
   *
   * @param n         number of vertices, ids are `0 until n`
   * @param offsets   CSR row offsets into `adj`/`threshold`, length n+1
@@ -152,4 +158,4 @@ object LocalGraph {
   * @param threshold [[LocalGraph.threshold]] of each edge's probability
   */
 final class LiveEdges(val n: Int, val offsets: Array[Int], val adj: Array[Int],
-                      val threshold: Array[Long]) extends Serializable
+                      val threshold: Array[Long])

@@ -3,7 +3,7 @@ package repro.spark
 import java.util.SplittableRandom
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import org.apache.spark.sql.SparkSession
-import repro.core.{Costs, RRCollection}
+import repro.core.{Costs, GreedyResult, RRCollection}
 import repro.graphs.{LiveEdges, LocalGraph}
 
 /** The shared influence-evaluation oracle of the paper's §5.2: a large,
@@ -37,15 +37,15 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
     RRCollection.invert(g.n, RRSetJob.blocks(g.inEdges, theta, seed, threads))
   }
 
-  /** Estimated influence of each seed set, keyed by its sorted
-    * comma-separated ids. Counts covered RR sets on the driver with a stamp
-    * array, one pass over the index lists of each set's vertices.
+  /** Estimated influence of each seed set, keyed by [[GreedyResult.keyOf]].
+    * Counts covered RR sets on the driver with a stamp array, one pass over
+    * the index lists of each set's vertices.
     */
   def influenceOfSets(sets: Seq[Seq[Int]]): Map[String, Double] = {
     val (offsets, ids) = invertedIndex
     val stamp = new Array[Int](theta.toInt)
     var cur = 0
-    sets.map(_.sorted).distinct.map { s =>
+    sets.map(s => GreedyResult.keyOf(s) -> s).toMap.map { case (key, s) =>
       cur += 1
       var covered = 0L
       s.foreach { v =>
@@ -56,8 +56,8 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
           i += 1
         }
       }
-      s.mkString(",") -> covered * g.n.toDouble / theta
-    }.toMap
+      key -> covered * g.n.toDouble / theta
+    }
   }
 
   /** A no-op: the oracle holds no Spark storage, only driver arrays. It

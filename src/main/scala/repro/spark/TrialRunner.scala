@@ -2,7 +2,7 @@ package repro.spark
 
 import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
-import repro.core.{Greedy, InfluenceEstimator, Oneshot, Ris, Snapshot}
+import repro.core.{Greedy, GreedyResult, InfluenceEstimator, Oneshot, Ris, Snapshot}
 import repro.graphs.LocalGraph
 
 /** Which of the paper's three approaches a run uses, plus its estimator
@@ -120,8 +120,9 @@ object TrialRunner {
   private def runOne(g: LocalGraph, t: Trial): TrialRow = {
     val rng = new SplittableRandom(mixSeed(t.pointSeed, t.trial.toLong))
     val r = Greedy.run(g.n, t.k, t.alg.make(g, t.sampleNumber), rng)
-    TrialRow(t.trial, t.alg.name, t.sampleNumber.toLong, t.k, r.seeds.sorted.toSeq,
-             r.seedSetKey, r.vertexCost, r.edgeCost, r.sampleSize)
+    val set = r.seeds.sorted.toSeq
+    TrialRow(t.trial, t.alg.name, t.sampleNumber.toLong, t.k, set, GreedyResult.keyOf(set),
+             r.vertexCost, r.edgeCost, r.sampleSize)
   }
 
   /** Runs `trials` independent greedy runs of `alg` with the given sample

@@ -6,9 +6,8 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test that runs Spark: one local-mode SparkSession for the
   * whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
+  * The forked test JVM's heap is `-Xmx$SPARK_DRIVER_MEM`, set by the test
+  * JVM settings in build.sbt; it is 48g when the variable is unset.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,8 +19,8 @@ object SparkSpec {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output naming the heap setting, master and
+    // parallelism this run used.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -100,13 +100,6 @@ class IcSpec extends AnyFunSuite {
     assert((0 until 3).forall(v => s.mark(v) != s.stamp))
   }
 
-  test("Costs += accumulates both counters") {
-    val a = new Costs; a.vertex = 3; a.edge = 5
-    val b = new Costs; b.vertex = 10; b.edge = 20
-    a += b
-    assert(a.vertex == 13 && a.edge == 25)
-  }
-
   test("disconnected seed activates only its component") {
     val g = LocalGraph.fromWeightedEdges(6,
       Seq((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)))

@@ -25,7 +25,7 @@ class RRCollectionSpec extends AnyFunSuite {
 
   test("invert lists every set id, ascending, under each of its members") {
     val c = RRCollection.generate(g.inEdges, 300, new SplittableRandom(4), new Costs)
-    val (offsets, ids) = c.invert()
+    val (offsets, ids) = RRCollection.invert(c.n, Seq(c))
     val byVertex = (0 until g.n).map(v => ids.slice(offsets(v), offsets(v + 1)).toSeq)
     val expected = (0 until g.n).map(v => sets(c).indices.filter(i => sets(c)(i).contains(v)))
     assert(byVertex == expected)
@@ -39,7 +39,7 @@ class RRCollectionSpec extends AnyFunSuite {
     val all = new RRCollection(g.n, offsets, a.members ++ c.members)
     assert(sets(all) == sets(a) ++ sets(c))
     val (vo, ids) = RRCollection.invert(g.n, Seq(a, b, c))
-    val (refVo, refIds) = all.invert()
+    val (refVo, refIds) = RRCollection.invert(all.n, Seq(all))
     assert(vo.toSeq == refVo.toSeq)
     assert(ids.toSeq == refIds.toSeq)
     assert(ids.max == a.size + c.size - 1)

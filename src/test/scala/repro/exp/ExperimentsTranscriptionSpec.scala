@@ -1,0 +1,75 @@
+package repro.exp
+
+import java.nio.file.{Files, Paths}
+import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
+import scala.math.BigDecimal.RoundingMode
+
+/** The "measured" cells of EXPERIMENTS.md's Tables 3 and 4 against the
+  * `[table3]`/`[table4]` lines of `bench_output.txt` they transcribe. A cell
+  * matches when the artifact's value, rounded half-up to the digits the cell
+  * shows, is the cell; thousands separators and `–` for `-` are allowed, and
+  * the scaled networks drop their `~`.
+  */
+class ExperimentsTranscriptionSpec extends AnyFunSuite {
+
+  private def lines(file: String): Seq[String] =
+    Files.readAllLines(Paths.get(file)).asScala.toSeq
+
+  /** The measured column (the third) of the rows of `## Table <table>`, by
+    * first column, split into cells at ` / `.
+    */
+  private def measured(table: Int): Map[String, Seq[String]] =
+    lines("EXPERIMENTS.md")
+      .dropWhile(!_.startsWith(s"## Table $table "))
+      .drop(1).takeWhile(!_.startsWith("## "))
+      .filter(l => l.startsWith("| ") && !l.startsWith("|---"))
+      .drop(1) // header
+      .map { l =>
+        val cols = l.split("\\|").map(_.trim).filter(_.nonEmpty)
+        cols(0) -> cols(2).split(" / ").toSeq
+      }.toMap
+
+  /** The `[tag]` rows of bench_output.txt after the header, as fields. */
+  private def artifact(tag: String): Seq[Seq[String]] =
+    lines("bench_output.txt").filter(_.startsWith(s"[$tag] ")).drop(1)
+      .map(_.split("\\s+").toSeq.drop(1))
+
+  private def agrees(cell: String, value: String): Boolean =
+    cell.replace(",", "").replace("–", "-") match {
+      case "-" => value == "-"
+      case _ if value == "-" => false
+      case c =>
+        val (shown, exact) = (BigDecimal(c), BigDecimal(value))
+        shown.scale <= exact.scale && exact.setScale(shown.scale, RoundingMode.HALF_UP) == shown
+    }
+
+  private def check(cells: Map[String, Seq[String]], rows: Map[String, Seq[String]]): Unit = {
+    assert(cells.keySet == rows.keySet)
+    for ((row, cs) <- cells) {
+      assert(cs.size == rows(row).size, row)
+      cs.zip(rows(row)).foreach { case (c, v) =>
+        assert(agrees(c, v), s"$row: EXPERIMENTS.md shows $c, bench_output.txt has $v")
+      }
+    }
+  }
+
+  test("the cell check rounds to the shown digits, reads separators and dashes") {
+    assert(agrees("3.767", "3.7667") && agrees("378.0", "377.9667") && agrees("5,242", "5242"))
+    assert(agrees("–", "-") && agrees("0.26", "0.26"))
+    assert(!agrees("3.766", "3.7667") && !agrees("0.260", "0.26") && !agrees("–", "0.00"))
+    assert(!agrees("5,243", "5242") && !agrees("1.0", "-"))
+  }
+
+  test("Table 3 measured cells transcribe the [table3] lines") {
+    val cells = measured(3)
+    assert(cells.size == 8)
+    check(cells, artifact("table3").map(f => f.head.stripSuffix("~") -> f.tail).toMap)
+  }
+
+  test("Table 4 measured cells transcribe the [table4] lines") {
+    val cells = measured(4)
+    assert(cells.size == 8)
+    check(cells, artifact("table4").map(f => s"${f(0)} ${f(1)}" -> f.drop(2)).toMap)
+  }
+}

@@ -175,6 +175,17 @@ class SweepSpec extends SparkSpec {
     assert(result.toString == expected.toString)
   }
 
+  test("an oracle built under another model is rejected before any job") {
+    val gOwc = ProbModel.assign(GraphGen.karate(), ProbModel.OWC)
+    assert(gOwc.n == gIwc.n && gOwc.m == gIwc.m)
+    assert(oracleIwc.g eq gIwc) // built before counting jobs
+    val (e, jobs) = jobsStartedBy {
+      intercept[IllegalArgumentException](Sweep.run(spark, gOwc, oracleIwc, 2, smallCfg))
+    }
+    assert(e.getMessage.contains("oracle must be built on the same influence graph"))
+    assert(jobs == 0)
+  }
+
   test("Sweep.run starts exactly one Spark job") {
     assert(oracleIwc.g eq gIwc) // built before counting jobs
     val (r, jobs) = jobsStartedBy(Sweep.run(spark, gIwc, oracleIwc, 2, smallCfg))

@@ -132,35 +132,33 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
-  private def roundTrip(e: LiveEdges): LiveEdges = {
+  test("LocalGraph survives Java serialization and rebuilds both directions") {
+    val g = diamond
+    val (in, fwd) = (g.inEdges, g.outEdges) // built, so a non-transient one would ship
     val bytes = new java.io.ByteArrayOutputStream
     val out = new java.io.ObjectOutputStream(bytes)
-    out.writeObject(e)
+    out.writeObject(g)
     out.close()
-    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
-      .readObject().asInstanceOf[LiveEdges]
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[LocalGraph]
+    assert((back ne g) && back.sameAs(g)) // equal arrays in both directions
+    for ((rebuilt, orig, offsets, adj, prob) <- Seq(
+           (back.inEdges, in, g.inOffsets, g.inSrc, g.inProb),
+           (back.outEdges, fwd, g.outOffsets, g.outDst, g.outProb))) {
+      assert(rebuilt ne orig)
+      assert(rebuilt.n == g.n)
+      assert(rebuilt.offsets.toSeq == offsets.toSeq)
+      assert(rebuilt.adj.toSeq == adj.toSeq)
+      assert(rebuilt.threshold.toSeq == prob.toSeq.map(LocalGraph.threshold))
+    }
   }
 
-  test("inEdges survives Java serialization with its thresholds") {
-    val in = diamond.inEdges
-    val back = roundTrip(in)
-    assert(back.n == in.n)
-    assert(back.offsets.toSeq == in.offsets.toSeq)
-    assert(back.adj.toSeq == in.adj.toSeq)
-    assert(back.adj.toSeq == diamond.inSrc.toSeq)
-    assert(back.threshold.toSeq == in.threshold.toSeq)
-    assert(back.threshold.toSeq == diamond.inProb.toSeq.map(LocalGraph.threshold))
-  }
-
-  test("outEdges survives Java serialization with its thresholds") {
-    val fwd = diamond.outEdges
-    val back = roundTrip(fwd)
-    assert(back.n == fwd.n)
-    assert(back.offsets.toSeq == fwd.offsets.toSeq)
-    assert(back.adj.toSeq == fwd.adj.toSeq)
-    assert(back.adj.toSeq == diamond.outDst.toSeq)
-    assert(back.threshold.toSeq == fwd.threshold.toSeq)
-    assert(back.threshold.toSeq == diamond.outProb.toSeq.map(LocalGraph.threshold))
+  test("sameAs holds for equal arrays and fails on any difference") {
+    val g = diamond
+    assert(g.sameAs(g) && g.sameAs(diamond))
+    assert(!g.sameAs(g.withProbs((_, _) => 0.5)))
+    assert(!g.sameAs(g.transpose))
+    assert(!g.sameAs(LocalGraph.fromWeightedEdges(5, g.edges)))
   }
 
   test("CSR offsets are monotone and end at m") {
