@@ -132,25 +132,42 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("LocalGraph survives Java serialization and rebuilds both directions") {
-    val g = diamond
-    val (in, fwd) = (g.inEdges, g.outEdges) // built, so a non-transient one would ship
+  /** Ships a graph as the trial runner's broadcast does; `LiveEdges` itself is not `Serializable`. */
+  private def roundTrip(g: LocalGraph): LocalGraph = {
     val bytes = new java.io.ByteArrayOutputStream
     val out = new java.io.ObjectOutputStream(bytes)
     out.writeObject(g)
     out.close()
-    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
       .readObject().asInstanceOf[LocalGraph]
+  }
+
+  test("inEdges survives Java serialization with its thresholds") {
+    val g = diamond
+    val in = g.inEdges // built, so a non-transient one would ship
+    val back = roundTrip(g)
     assert((back ne g) && back.sameAs(g)) // equal arrays in both directions
-    for ((rebuilt, orig, offsets, adj, prob) <- Seq(
-           (back.inEdges, in, g.inOffsets, g.inSrc, g.inProb),
-           (back.outEdges, fwd, g.outOffsets, g.outDst, g.outProb))) {
-      assert(rebuilt ne orig)
-      assert(rebuilt.n == g.n)
-      assert(rebuilt.offsets.toSeq == offsets.toSeq)
-      assert(rebuilt.adj.toSeq == adj.toSeq)
-      assert(rebuilt.threshold.toSeq == prob.toSeq.map(LocalGraph.threshold))
-    }
+    val rebuilt = back.inEdges
+    assert(rebuilt ne in)
+    assert(rebuilt.n == g.n)
+    assert(rebuilt.offsets.toSeq == g.inOffsets.toSeq)
+    assert(rebuilt.adj.toSeq == g.inSrc.toSeq)
+    assert(rebuilt.threshold.toSeq == in.threshold.toSeq)
+    assert(rebuilt.threshold.toSeq == g.inProb.toSeq.map(LocalGraph.threshold))
+  }
+
+  test("outEdges survives Java serialization with its thresholds") {
+    val g = diamond
+    val fwd = g.outEdges // built, so a non-transient one would ship
+    val back = roundTrip(g)
+    assert((back ne g) && back.sameAs(g))
+    val rebuilt = back.outEdges
+    assert(rebuilt ne fwd)
+    assert(rebuilt.n == g.n)
+    assert(rebuilt.offsets.toSeq == g.outOffsets.toSeq)
+    assert(rebuilt.adj.toSeq == g.outDst.toSeq)
+    assert(rebuilt.threshold.toSeq == fwd.threshold.toSeq)
+    assert(rebuilt.threshold.toSeq == g.outProb.toSeq.map(LocalGraph.threshold))
   }
 
   test("sameAs holds for equal arrays and fails on any difference") {
