@@ -74,48 +74,82 @@ object RRCollection {
 
   /** Inverted index vertex → set ids of the sets of `parts` taken in order,
     * the ids of each part following those of the parts before it, in CSR
-    * form `(vertexOffsets, setIds)`. Built by one counting sort over the
-    * parts in set-id order, without concatenating them, so every vertex's
-    * ids ascend; vertex v is in `vertexOffsets(v + 1) - vertexOffsets(v)`
-    * sets.
+    * form `(vertexOffsets, setIds)`; vertex v is in
+    * `vertexOffsets(v + 1) - vertexOffsets(v)` sets. One counting sort over
+    * the parts, without concatenating them, in three steps: [[count]] each
+    * part, [[place]] the counts, [[scatter]] each part. Every vertex's ids
+    * ascend. The oracle runs the same steps with the per-part ones spread
+    * over threads.
     */
   def invert(n: Int, parts: Seq[RRCollection]): (Array[Int], Array[Int]) = {
-    val count = parts.map(_.size.toLong).sum
+    val counts = parts.map(count)
+    val (vertexOffsets, setIds) = place(n, parts, counts)
+    var first = 0
+    parts.lazyZip(counts).foreach { (p, cursors) =>
+      scatter(p, first, cursors, setIds)
+      first += p.size
+    }
+    (vertexOffsets, setIds)
+  }
+
+  /** Per-vertex member counts of `part`: entry v is the number of its sets
+    * that contain v.
+    */
+  def count(part: RRCollection): Array[Int] = {
+    val counts = new Array[Int](part.n)
+    val members = part.members
+    var j = 0
+    while (j < members.length) { counts(members(j)) += 1; j += 1 }
+    counts
+  }
+
+  /** The index layout of `parts` in order, from each part's [[count]]: the
+    * vertex offsets and an unfilled `setIds` array. Turns each part's counts
+    * in place into its write cursors for [[scatter]]: entry v becomes
+    * `vertexOffsets(v)` plus the counts of v in the earlier parts.
+    */
+  def place(n: Int, parts: Seq[RRCollection],
+            counts: Seq[Array[Int]]): (Array[Int], Array[Int]) = {
+    val sets = parts.map(_.size.toLong).sum
     val stored = parts.map(_.storedVertices).sum
-    require(count <= MaxLength, s"RR-set count $count exceeds $MaxLength")
+    require(sets <= MaxLength, s"RR-set count $sets exceeds $MaxLength")
     require(stored <= MaxLength, s"stored RR-set vertices $stored exceed $MaxLength")
     parts.foreach(p => require(p.n == n, s"part on ${p.n} vertices, expected $n"))
+    require(counts.length == parts.length, s"${counts.length} counts for ${parts.length} parts")
     val vertexOffsets = new Array[Int](n + 1)
-    var it = parts.iterator
-    while (it.hasNext) {
-      val members = it.next().members
-      var j = 0
-      while (j < members.length) { vertexOffsets(members(j) + 1) += 1; j += 1 }
+    counts.foreach { c =>
+      var v = 0
+      while (v < n) { vertexOffsets(v + 1) += c(v); v += 1 }
     }
     var v = 0
     while (v < n) { vertexOffsets(v + 1) += vertexOffsets(v); v += 1 }
     val pos = java.util.Arrays.copyOf(vertexOffsets, n)
-    val setIds = new Array[Int](stored.toInt)
-    var first = 0
-    it = parts.iterator
-    while (it.hasNext) {
-      val p = it.next()
-      val offsets = p.offsets
-      val members = p.members
-      var i = 0
-      while (i < p.size) {
-        val id = first + i
-        var j = offsets(i)
-        while (j < offsets(i + 1)) {
-          val u = members(j)
-          setIds(pos(u)) = id
-          pos(u) += 1
-          j += 1
-        }
-        i += 1
-      }
-      first += p.size
+    counts.foreach { c =>
+      v = 0
+      while (v < n) { val k = c(v); c(v) = pos(v); pos(v) += k; v += 1 }
     }
-    (vertexOffsets, setIds)
+    (vertexOffsets, new Array[Int](stored.toInt))
+  }
+
+  /** Writes the ids of `part`'s sets, numbered from `firstId`, into
+    * `setIds` at its `cursors` from [[place]], advancing them. Parts write
+    * disjoint ranges of `setIds`, so they may be scattered concurrently.
+    */
+  def scatter(part: RRCollection, firstId: Int, cursors: Array[Int],
+              setIds: Array[Int]): Unit = {
+    val offsets = part.offsets
+    val members = part.members
+    var i = 0
+    while (i < part.size) {
+      val id = firstId + i
+      var j = offsets(i)
+      while (j < offsets(i + 1)) {
+        val u = members(j)
+        setIds(cursors(u)) = id
+        cursors(u) += 1
+        j += 1
+      }
+      i += 1
+    }
   }
 }

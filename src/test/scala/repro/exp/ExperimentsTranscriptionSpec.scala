@@ -5,8 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import scala.math.BigDecimal.RoundingMode
 
-/** The "measured" cells of EXPERIMENTS.md's Tables 3 and 4 against the
-  * `[table3]`/`[table4]` lines of `bench_output.txt` they transcribe. A cell
+/** The "measured" cells of EXPERIMENTS.md's Tables 3 and 4 and of its
+  * measured Karate grid of Table 8 against the `[table3]`/`[table4]`/`[table8]`
+  * lines of `bench_output.txt` they transcribe. A cell
   * matches when the artifact's value, rounded half-up to the digits the cell
   * shows, is the cell; thousands separators and `–` for `-` are allowed, and
   * the scaled networks drop their `~`.
@@ -29,6 +30,21 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
         val cols = l.split("\\|").map(_.trim).filter(_.nonEmpty)
         cols(0) -> cols(2).split(" / ").toSeq
       }.toMap
+
+  /** The first table after the line starting with `caption`, a grid of
+    * rows by first column and columns by header, keyed `"<row> <column>"`,
+    * each cell split at ` / `.
+    */
+  private def grid(caption: String): Map[String, Seq[String]] = {
+    val rows = lines("EXPERIMENTS.md").dropWhile(!_.startsWith(caption)).drop(1)
+      .dropWhile(!_.startsWith("| ")).takeWhile(_.startsWith("|"))
+      .filter(!_.startsWith("|---"))
+      .map(_.split("\\|").map(_.trim).filter(_.nonEmpty).toSeq)
+    val header = rows.head
+    rows.tail.flatMap { r =>
+      header.indices.tail.map(c => s"${r.head} ${header(c)}" -> r(c).split(" / ").toSeq)
+    }.toMap
+  }
 
   /** The `[tag]` rows of bench_output.txt after the header, as fields. */
   private def artifact(tag: String): Seq[Seq[String]] =
@@ -71,5 +87,12 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     val cells = measured(4)
     assert(cells.size == 8)
     check(cells, artifact("table4").map(f => s"${f(0)} ${f(1)}" -> f.drop(2)).toMap)
+  }
+
+  test("Table 8 measured Karate grid transcribes the Karate [table8] lines") {
+    val cells = grid("Measured (Karate")
+    assert(cells.size == 12 && cells.values.forall(_.size == 2))
+    check(cells, artifact("table8").filter(_.head == "Karate")
+      .map(f => s"${f(1)} ${f(2)}" -> f.drop(3)).toMap)
   }
 }

@@ -37,12 +37,48 @@ class RRSetJobSpec extends SparkSpec {
   test("the inverted index does not depend on the number of drawing threads") {
     val g = ProbModel.assign(GraphGen.karate(), ProbModel.IWC)
     val theta = 5L * RRSetJob.BlockSize + 7
-    val (offsets, ids) = RRSetJob(spark, g, theta, seed = 3).invertedIndex
-    // 1 thread, 3 threads, and more threads than the 6 blocks.
+    val blocks = (0 until 6).map { b =>
+      val size = math.min(RRSetJob.BlockSize.toLong, theta - b.toLong * RRSetJob.BlockSize).toInt
+      RRCollection.generate(g.inEdges, size,
+        new SplittableRandom(TrialRunner.mixSeed(3, b.toLong)), new Costs)
+    }
+    val (offsets, ids) = RRCollection.invert(g.n, blocks)
+    val oracle = RRSetJob(spark, g, theta, seed = 3).invertedIndex
+    assert(oracle._1.toSeq == offsets.toSeq && oracle._2.toSeq == ids.toSeq)
+    // Draw, count and scatter on 1 thread, 3 threads, and more threads than the 6 blocks.
     for (threads <- Seq(1, 3, 16)) {
-      val (o, i) = RRCollection.invert(g.n, RRSetJob.blocks(g.inEdges, theta, 3, threads))
+      val (o, i) = RRSetJob.index(g.inEdges, theta, 3, threads)
       assert(o.toSeq == offsets.toSeq && i.toSeq == ids.toSeq, s"threads=$threads")
     }
+  }
+
+  test("seed-set evaluation does not depend on the number of threads") {
+    val g = ProbModel.assign(GraphGen.karate(), ProbModel.IWC)
+    val oracle = RRSetJob(spark, g, 3L * RRSetJob.BlockSize, seed = 4)
+    val rng = new SplittableRandom(5)
+    // Enough sets for 5 workers, with repeats in other orders and the empty set.
+    val sets = Seq.fill(5 * RRSetJob.SetsPerWorker)(Seq.fill(1 + rng.nextInt(4))(rng.nextInt(g.n))) ++
+      Seq(Seq(2, 1), Seq(1, 2), Seq.empty)
+    val one = oracle.influenceOfSets(sets, threads = 1)
+    assert(one.size == sets.map(_.sorted).distinct.size)
+    // 3 threads, and more threads than workers, for many sets and for two.
+    for (threads <- Seq(3, 16)) {
+      assert(oracle.influenceOfSets(sets, threads) == one, s"threads=$threads")
+      assert(oracle.influenceOfSets(sets.take(2), threads) == oracle.influenceOfSets(sets.take(2), 1),
+             s"two sets, threads=$threads")
+    }
+    assert(oracle.influenceOfSets(sets) == one)
+  }
+
+  test("a seed-set vertex outside [0, n) is rejected before any thread starts") {
+    val sets = (0 until 4 * RRSetJob.SetsPerWorker).map(v => Seq(v % tiny.n))
+    for (bad <- Seq(-1, tiny.n)) {
+      val e = intercept[IllegalArgumentException](tinyOracle.influenceOfSets(sets :+ Seq(0, bad)))
+      assert(e.getMessage.contains(s"vertex $bad outside [0, ${tiny.n})"), e.getMessage)
+    }
+    val alive = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
+      .filter(_.startsWith(RRSetJob.ThreadName))
+    assert(alive.isEmpty, alive)
   }
 
   test("a failing block surfaces its own exception and leaves no drawing thread alive") {
