@@ -4,48 +4,46 @@ package repro.graphs
   * reverse adjacency so that forward diffusion (Oneshot/Snapshot) and
   * reverse reachability (RIS) are cache-friendly array walks.
   *
+  * The graph is exactly its two [[LiveEdges]] directions: each edge's
+  * weight is stored once per direction, as the live-edge threshold
+  * ⌈p·2⁵³⌉ that the kernels test, and no probability array is kept. That
+  * is 4 + 8 bytes per edge per direction plus 4(n + 1) bytes of offsets.
   * The graph is immutable and `Serializable`; the trial runner broadcasts
-  * one instance to all Spark executors and every sampling kernel runs
-  * against it locally; its [[LiveEdges]] directions are `@transient`, so
-  * each JVM rebuilds them. The RR-set oracle reads [[inEdges]] on the driver.
+  * one instance, thresholds included, to all Spark executors and every
+  * sampling kernel runs against it locally. The RR-set oracle reads
+  * [[inEdges]] on the driver.
   *
-  * @param n          number of vertices, ids are `0 until n`
-  * @param outOffsets CSR row offsets into `outDst`/`outProb`, length n+1
-  * @param outDst     destination vertex of each out-edge, grouped by source
-  * @param outProb    influence probability p(u,v) of each out-edge
-  * @param inOffsets  CSR row offsets into `inSrc`/`inProb`, length n+1
-  * @param inSrc      source vertex of each in-edge, grouped by destination
-  * @param inProb     influence probability of each in-edge
+  * @param n        number of vertices, ids are `0 until n`
+  * @param outEdges the forward adjacency, grouped by source: what the
+  *                 forward IC kernel and the Snapshot build read
+  * @param inEdges  the reverse adjacency, grouped by destination: what
+  *                 RR-set generation reads
   */
-final class LocalGraph(
-    val n: Int,
-    val outOffsets: Array[Int],
-    val outDst: Array[Int],
-    val outProb: Array[Double],
-    val inOffsets: Array[Int],
-    val inSrc: Array[Int],
-    val inProb: Array[Double],
-) extends Serializable {
+final class LocalGraph(val n: Int, val outEdges: LiveEdges, val inEdges: LiveEdges)
+    extends Serializable {
+  require(outEdges.n == n && inEdges.n == n,
+          s"directions have ${outEdges.n} (out) and ${inEdges.n} (in) vertices, graph has $n")
+  require(outEdges.m == inEdges.m,
+          s"directions have ${outEdges.m} (out) and ${inEdges.m} (in) edges")
 
-  /** The forward adjacency as [[LiveEdges]]: what the forward IC kernel
-    * and the Snapshot build read. Built on first use, never serialized.
-    */
-  @transient lazy val outEdges: LiveEdges =
-    new LiveEdges(n, outOffsets, outDst, outProb.map(LocalGraph.threshold))
+  /** CSR row offsets of the out-edges, length n+1. */
+  def outOffsets: Array[Int] = outEdges.offsets
 
-  /** The reverse adjacency as [[LiveEdges]]: what RR-set generation reads.
-    * Built on first use, never serialized.
-    */
-  @transient lazy val inEdges: LiveEdges =
-    new LiveEdges(n, inOffsets, inSrc, inProb.map(LocalGraph.threshold))
+  /** Destination vertex of each out-edge, grouped by source. */
+  def outDst: Array[Int] = outEdges.adj
+
+  /** CSR row offsets of the in-edges, length n+1. */
+  def inOffsets: Array[Int] = inEdges.offsets
+
+  /** Source vertex of each in-edge, grouped by destination. */
+  def inSrc: Array[Int] = inEdges.adj
 
   /** Whether `o` is this instance or has equal arrays in both directions. */
-  def sameAs(o: LocalGraph): Boolean = (this eq o) || n == o.n && java.util.Arrays.deepEquals(
-    Array[AnyRef](outOffsets, outDst, outProb, inOffsets, inSrc, inProb),
-    Array[AnyRef](o.outOffsets, o.outDst, o.outProb, o.inOffsets, o.inSrc, o.inProb))
+  def sameAs(o: LocalGraph): Boolean =
+    (this eq o) || n == o.n && outEdges.sameAs(o.outEdges) && inEdges.sameAs(o.inEdges)
 
   /** Number of directed edges. */
-  def m: Int = outDst.length
+  def m: Int = outEdges.m
 
   /** Out-degree of vertex `v`. */
   def outDeg(v: Int): Int = outOffsets(v + 1) - outOffsets(v)
@@ -59,26 +57,29 @@ final class LocalGraph(
   /** Maximum in-degree (Δ⁻ in the paper's Table 3); 0 on the empty graph. */
   def maxInDeg: Int = (0 until n).foldLeft(0)((a, v) => math.max(a, inDeg(v)))
 
-  /** Sum of all edge probabilities, m̃ = Σₑ p(e) — the expected number of
-    * live edges in a random graph G ~ 𝒢 (paper Table 1).
+  /** Sum of all effective edge probabilities, m̃ = Σₑ p(e) — the expected
+    * number of live edges in a random graph G ~ 𝒢 (paper Table 1).
     */
   def mTilde: Double = {
+    val t = outEdges.threshold
     var s = 0.0; var i = 0
-    while (i < outProb.length) { s += outProb(i); i += 1 }
+    while (i < t.length) { s += LocalGraph.prob(t(i)); i += 1 }
     s
   }
 
-  /** All edges as (src, dst, p) triples, in CSR order. */
+  /** All edges as (src, dst, p) triples in CSR order, p being the
+    * effective probability [[LocalGraph.prob]] of the edge's threshold.
+    */
   def edges: IndexedSeq[(Int, Int, Double)] =
     for (u <- 0 until n; i <- outOffsets(u) until outOffsets(u + 1))
-      yield (u, outDst(i), outProb(i))
+      yield (u, outDst(i), LocalGraph.prob(outEdges.threshold(i)))
 
   /** The transposed influence graph 𝒢ᵀ; a forward cascade on it is an RR set. */
-  def transpose: LocalGraph =
-    new LocalGraph(n, inOffsets, inSrc, inProb, outOffsets, outDst, outProb)
+  def transpose: LocalGraph = new LocalGraph(n, inEdges, outEdges)
 
   /** Returns a copy with every edge probability replaced by `f(u, v)`,
-    * which must lie in [0,1].
+    * which must lie in [0,1]. The copy shares this graph's offsets and
+    * adjacency arrays.
     */
   def withProbs(f: (Int, Int) => Double): LocalGraph = {
     def prob(u: Int, v: Int): Double = {
@@ -86,21 +87,18 @@ final class LocalGraph(
       require(p >= 0.0 && p <= 1.0, s"probability $p of edge ($u,$v) outside [0,1]")
       p
     }
-    val op = new Array[Double](outDst.length)
-    var u = 0
-    while (u < n) {
-      var i = outOffsets(u)
-      while (i < outOffsets(u + 1)) { op(i) = prob(u, outDst(i)); i += 1 }
-      u += 1
+    // `e` with the threshold of p(row vertex, other endpoint) on each edge.
+    def reweighed(e: LiveEdges, p: (Int, Int) => Double): LiveEdges = {
+      val t = new Array[Long](e.m)
+      var r = 0
+      while (r < n) {
+        var i = e.offsets(r)
+        while (i < e.offsets(r + 1)) { t(i) = LocalGraph.threshold(p(r, e.adj(i))); i += 1 }
+        r += 1
+      }
+      new LiveEdges(n, e.offsets, e.adj, t)
     }
-    val ip = new Array[Double](inSrc.length)
-    var v = 0
-    while (v < n) {
-      var i = inOffsets(v)
-      while (i < inOffsets(v + 1)) { ip(i) = prob(inSrc(i), v); i += 1 }
-      v += 1
-    }
-    new LocalGraph(n, outOffsets, outDst, op, inOffsets, inSrc, ip)
+    new LocalGraph(n, reweighed(outEdges, prob), reweighed(inEdges, (v, u) => prob(u, v)))
   }
 }
 
@@ -112,6 +110,13 @@ object LocalGraph {
     * in a double.
     */
   def threshold(p: Double): Long = math.ceil(p * TwoPow53).toLong
+
+  /** t·2⁻⁵³, the effective probability of threshold `t`: the probability
+    * with which the kernels make an edge live. For t = [[threshold]](p) it
+    * is at most 2⁻⁵³ above p, and equal to p when p·2⁵³ is an integer;
+    * `threshold(prob(t)) == t` for t in [0, 2⁵³].
+    */
+  def prob(t: Long): Double = t / TwoPow53
 
   private final val TwoPow53 = 9007199254740992.0
 
@@ -134,28 +139,46 @@ object LocalGraph {
     edges.foreach { case (u, v, _) => outOff(u + 1) += 1; inOff(v + 1) += 1 }
     var i = 0
     while (i < n) { outOff(i + 1) += outOff(i); inOff(i + 1) += inOff(i); i += 1 }
-    val outDst = new Array[Int](m); val outProb = new Array[Double](m)
-    val inSrc  = new Array[Int](m); val inProb  = new Array[Double](m)
+    val outDst = new Array[Int](m); val outT = new Array[Long](m)
+    val inSrc  = new Array[Int](m); val inT  = new Array[Long](m)
     val outPos = outOff.clone(); val inPos = inOff.clone()
     edges.foreach { case (u, v, p) =>
-      outDst(outPos(u)) = v; outProb(outPos(u)) = p; outPos(u) += 1
-      inSrc(inPos(v)) = u; inProb(inPos(v)) = p; inPos(v) += 1
+      val t = threshold(p)
+      outDst(outPos(u)) = v; outT(outPos(u)) = t; outPos(u) += 1
+      inSrc(inPos(v)) = u; inT(inPos(v)) = t; inPos(v) += 1
     }
-    new LocalGraph(n, outOff, outDst, outProb, inOff, inSrc, inProb)
+    new LocalGraph(n, new LiveEdges(n, outOff, outDst, outT),
+                   new LiveEdges(n, inOff, inSrc, inT))
   }
 }
 
 /** One direction of a [[LocalGraph]]'s adjacency with its live-edge
   * thresholds, in CSR form: what a live-edge cascade reads. The out-edges
   * give forward IC; the in-edges give RR sets, the forward cascade on the
-  * transposed graph. Not `Serializable`: a serialized [[LocalGraph]]
-  * drops both directions and rebuilds them on first use, so a task that
-  * captures one fails with Spark's "Task not serializable".
+  * transposed graph. `Serializable`, so a broadcast graph ships its
+  * thresholds. It stores 4 + 8 bytes per edge plus 4(n + 1) bytes of
+  * offsets.
   *
   * @param n         number of vertices, ids are `0 until n`
-  * @param offsets   CSR row offsets into `adj`/`threshold`, length n+1
+  * @param offsets   CSR row offsets into `adj`/`threshold`, length n+1,
+  *                  from 0 to the edge count
   * @param adj       the other endpoint of each edge, grouped by row vertex
   * @param threshold [[LocalGraph.threshold]] of each edge's probability
   */
 final class LiveEdges(val n: Int, val offsets: Array[Int], val adj: Array[Int],
-                      val threshold: Array[Long])
+                      val threshold: Array[Long]) extends Serializable {
+  require(n >= 0 && offsets.length == n + 1,
+          s"${offsets.length} offsets for $n vertices, need n + 1")
+  require(offsets(0) == 0, s"offsets start at ${offsets(0)}, not 0")
+  require(offsets(n) == adj.length && adj.length == threshold.length,
+          s"offsets end at ${offsets(n)}, with ${adj.length} endpoints and " +
+          s"${threshold.length} thresholds; all three must be the edge count")
+
+  /** Number of edges. */
+  def m: Int = adj.length
+
+  /** Whether `o` has equal `n`, offsets, endpoints and thresholds. */
+  def sameAs(o: LiveEdges): Boolean =
+    n == o.n && java.util.Arrays.equals(offsets, o.offsets) &&
+      java.util.Arrays.equals(adj, o.adj) && java.util.Arrays.equals(threshold, o.threshold)
+}

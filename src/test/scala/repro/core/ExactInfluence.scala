@@ -20,6 +20,7 @@ object ExactInfluence {
     require(g.m <= MaxEdges, s"exact enumeration limited to m<=$MaxEdges, got m=${g.m}")
     require(seeds.nonEmpty && seeds.forall(v => v >= 0 && v < g.n))
     val m = g.m
+    val prob = g.outEdges.threshold.map(LocalGraph.prob)
     val seedArr = seeds.distinct.toArray
     var total = 0.0
     var mask = 0L
@@ -30,7 +31,7 @@ object ExactInfluence {
       var p = 1.0
       var e = 0
       while (e < m) {
-        p *= (if ((mask >> e & 1L) == 1L) g.outProb(e) else 1.0 - g.outProb(e))
+        p *= (if ((mask >> e & 1L) == 1L) prob(e) else 1.0 - prob(e))
         e += 1
       }
       if (p > 0.0) {

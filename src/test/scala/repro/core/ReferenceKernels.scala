@@ -4,7 +4,8 @@ import java.util.SplittableRandom
 import repro.graphs.LocalGraph
 
 /** The sampling kernels written directly against `SplittableRandom`: one
-  * `nextDouble() < p` per examined edge and one cost update per traversal.
+  * `nextDouble() < p` per examined edge, p being the edge's effective
+  * probability `LocalGraph.prob`, and one cost update per traversal.
   * `SplitMixSpec` checks that the production kernels, which run the stream
   * and the costs in locals, equal these draw for draw.
   */
@@ -33,7 +34,7 @@ object ReferenceKernels {
       while (e < end) {
         costs.edge += 1
         val w = g.outDst(e)
-        val live = rng.nextDouble() < g.outProb(e)
+        val live = rng.nextDouble() < LocalGraph.prob(g.outEdges.threshold(e))
         if (live && scratch.mark(w) != scratch.stamp) {
           scratch.mark(w) = scratch.stamp
           scratch.queue(tail) = w; tail += 1
@@ -60,7 +61,7 @@ object ReferenceKernels {
       while (e < end) {
         costs.edge += 1
         val u = g.inSrc(e)
-        val live = rng.nextDouble() < g.inProb(e)
+        val live = rng.nextDouble() < LocalGraph.prob(g.inEdges.threshold(e))
         if (live && scratch.mark(u) != scratch.stamp) {
           scratch.mark(u) = scratch.stamp
           scratch.queue(tail) = u; tail += 1
@@ -91,7 +92,9 @@ object ReferenceKernels {
       while (i < tau) {
         val off = new Array[Int](g.n + 1)
         var e = 0
-        while (e < g.m) { live(e) = rng.nextDouble() < g.outProb(e); e += 1 }
+        while (e < g.m) {
+          live(e) = rng.nextDouble() < LocalGraph.prob(g.outEdges.threshold(e)); e += 1
+        }
         var u = 0
         while (u < g.n) {
           var j = g.outOffsets(u)

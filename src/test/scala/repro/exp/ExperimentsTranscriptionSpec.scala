@@ -5,9 +5,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import scala.math.BigDecimal.RoundingMode
 
-/** The "measured" cells of EXPERIMENTS.md's Tables 3 and 4 and of its
-  * measured Karate grid of Table 8 against the `[table3]`/`[table4]`/`[table8]`
-  * lines of `bench_output.txt` they transcribe. A cell
+/** The "measured" cells of EXPERIMENTS.md's Tables 3, 4, 6 and 9 and of its
+  * measured Karate grid of Table 8 against the `[table3]`/`[table4]`/
+  * `[table6]`/`[table8]`/`[table9]` lines of `bench_output.txt` they
+  * transcribe. A cell
   * matches when the artifact's value, rounded half-up to the digits the cell
   * shows, is the cell; thousands separators and `–` for `-` are allowed, and
   * the scaled networks drop their `~`.
@@ -17,19 +18,22 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
   private def lines(file: String): Seq[String] =
     Files.readAllLines(Paths.get(file)).asScala.toSeq
 
-  /** The measured column (the third) of the rows of `## Table <table>`, by
-    * first column, split into cells at ` / `.
+  /** The rows of the tables under `## Table <table>`, header rows dropped,
+    * as trimmed columns.
     */
-  private def measured(table: Int): Map[String, Seq[String]] =
+  private def rows(table: Int): Seq[Seq[String]] =
     lines("EXPERIMENTS.md")
       .dropWhile(!_.startsWith(s"## Table $table "))
       .drop(1).takeWhile(!_.startsWith("## "))
       .filter(l => l.startsWith("| ") && !l.startsWith("|---"))
       .drop(1) // header
-      .map { l =>
-        val cols = l.split("\\|").map(_.trim).filter(_.nonEmpty)
-        cols(0) -> cols(2).split(" / ").toSeq
-      }.toMap
+      .map(_.split("\\|").map(_.trim).filter(_.nonEmpty).toSeq)
+
+  /** The measured column (the third) of the rows of `## Table <table>`, by
+    * first column, split into cells at ` / `.
+    */
+  private def measured(table: Int): Map[String, Seq[String]] =
+    rows(table).map(cols => cols(0) -> cols(2).split(" / ").toSeq).toMap
 
   /** The first table after the line starting with `caption`, a grid of
     * rows by first column and columns by header, keyed `"<row> <column>"`,
@@ -87,6 +91,20 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     val cells = measured(4)
     assert(cells.size == 8)
     check(cells, artifact("table4").map(f => s"${f(0)} ${f(1)}" -> f.drop(2)).toMap)
+  }
+
+  test("Table 6 measured cells transcribe the [table6] lines") {
+    val cells = measured(6).map { case (row, cs) => row -> cs.map(_.stripSuffix(" — **exact**")) }
+    assert(cells.size == 15)
+    check(cells, artifact("table6").map(f => s"${f(0)} ${f(1)}" -> f.drop(2)).toMap)
+  }
+
+  test("Table 9 measured cells transcribe the [table9] lines, paper values aside") {
+    val cells = rows(9)
+      .map(cols => s"${cols(0)} ${cols(1)}" -> cols.drop(2).map(_.split(" \\(")(0))).toMap
+    assert(cells.size == 16 && cells.values.forall(_.size == 4))
+    check(cells, artifact("table9")
+      .map(f => s"${f(0)} ${f(1)}" -> f.drop(2).map(_.replace(",", ""))).toMap)
   }
 
   test("Table 8 measured Karate grid transcribes the Karate [table8] lines") {

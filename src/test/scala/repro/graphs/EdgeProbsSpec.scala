@@ -10,31 +10,45 @@ class EdgeProbsSpec extends AnyFunSuite {
     "dpa" -> GraphGen.directedPA(150, 800, 0.4, 0.2, seed = 2),
   )
 
+  /** Whether every stored threshold, in both directions, is `threshold(p(u, v))`. */
+  private def stores(ig: LocalGraph)(p: (Int, Int) => Double): Boolean =
+    (0 until ig.n).forall { u =>
+      (ig.outOffsets(u) until ig.outOffsets(u + 1)).forall(i =>
+        ig.outEdges.threshold(i) == LocalGraph.threshold(p(u, ig.outDst(i))))
+    } && (0 until ig.n).forall { v =>
+      (ig.inOffsets(v) until ig.inOffsets(v + 1)).forall(i =>
+        ig.inEdges.threshold(i) == LocalGraph.threshold(p(ig.inSrc(i), v)))
+    }
+
   for ((name, g) <- graphs) {
     test(s"UC0.1 assigns a constant 0.1 on $name") {
       val ig = ProbModel.assign(g, ProbModel.uc01)
-      ig.edges.foreach { case (_, _, p) => assert(p == 0.1) }
+      assert(stores(ig)((_, _) => 0.1))
       assert(math.abs(ig.mTilde - 0.1 * g.m) < 1e-9)
     }
 
     test(s"UC0.01 assigns a constant 0.01 on $name") {
       val ig = ProbModel.assign(g, ProbModel.uc001)
-      ig.edges.foreach { case (_, _, p) => assert(p == 0.01) }
+      assert(stores(ig)((_, _) => 0.01))
       assert(math.abs(ig.mTilde - 0.01 * g.m) < 1e-9)
     }
 
     test(s"IWC: incoming probabilities of every vertex sum to 1 on $name") {
       val ig = ProbModel.assign(g, ProbModel.IWC)
+      assert(stores(ig)((_, v) => 1.0 / g.inDeg(v)))
       (0 until ig.n).filter(ig.inDeg(_) > 0).foreach { v =>
-        val s = (ig.inOffsets(v) until ig.inOffsets(v + 1)).map(ig.inProb).sum
+        val s = (ig.inOffsets(v) until ig.inOffsets(v + 1))
+          .map(i => LocalGraph.prob(ig.inEdges.threshold(i))).sum
         assert(math.abs(s - 1.0) < 1e-9, s"vertex $v")
       }
     }
 
     test(s"OWC: outgoing probabilities of every vertex sum to 1 on $name") {
       val ig = ProbModel.assign(g, ProbModel.OWC)
+      assert(stores(ig)((u, _) => 1.0 / g.outDeg(u)))
       (0 until ig.n).filter(ig.outDeg(_) > 0).foreach { v =>
-        val s = (ig.outOffsets(v) until ig.outOffsets(v + 1)).map(ig.outProb).sum
+        val s = (ig.outOffsets(v) until ig.outOffsets(v + 1))
+          .map(i => LocalGraph.prob(ig.outEdges.threshold(i))).sum
         assert(math.abs(s - 1.0) < 1e-9, s"vertex $v")
       }
     }

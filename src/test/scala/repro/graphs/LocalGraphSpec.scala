@@ -1,5 +1,6 @@
 package repro.graphs
 
+import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 
 class LocalGraphSpec extends AnyFunSuite {
@@ -7,6 +8,11 @@ class LocalGraphSpec extends AnyFunSuite {
   private def diamond: LocalGraph =
     // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
     LocalGraph.fromWeightedEdges(4, Seq((0, 1, 0.5), (0, 2, 0.25), (1, 3, 1.0), (2, 3, 0.1)))
+
+  import LocalGraph.threshold
+
+  /** The effective probability the graph stores for a given p. */
+  private def eff(p: Double): Double = LocalGraph.prob(threshold(p))
 
   test("fromEdges builds correct vertex and edge counts") {
     val g = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2)))
@@ -51,15 +57,15 @@ class LocalGraphSpec extends AnyFunSuite {
   test("out-adjacency contains the right neighbours and probabilities") {
     val g = diamond
     val nbrs = (g.outOffsets(0) until g.outOffsets(1))
-      .map(i => (g.outDst(i), g.outProb(i))).toSet
-    assert(nbrs == Set((1, 0.5), (2, 0.25)))
+      .map(i => (g.outDst(i), g.outEdges.threshold(i))).toSet
+    assert(nbrs == Set((1, threshold(0.5)), (2, threshold(0.25))))
   }
 
   test("in-adjacency contains the right sources and probabilities") {
     val g = diamond
     val srcs = (g.inOffsets(3) until g.inOffsets(4))
-      .map(i => (g.inSrc(i), g.inProb(i))).toSet
-    assert(srcs == Set((1, 1.0), (2, 0.1)))
+      .map(i => (g.inSrc(i), g.inEdges.threshold(i))).toSet
+    assert(srcs == Set((1, threshold(1.0)), (2, threshold(0.1))))
   }
 
   test("mTilde is the sum of edge probabilities") {
@@ -68,7 +74,7 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("edges enumerates every edge exactly once") {
     val g = diamond
-    assert(g.edges.toSet == Set((0, 1, 0.5), (0, 2, 0.25), (1, 3, 1.0), (2, 3, 0.1)))
+    assert(g.edges.toSet == Set((0, 1, 0.5), (0, 2, 0.25), (1, 3, 1.0), (2, 3, eff(0.1))))
     assert(g.edges.size == 4)
   }
 
@@ -76,7 +82,7 @@ class LocalGraphSpec extends AnyFunSuite {
     val t = diamond.transpose
     assert(t.n == 4)
     assert(t.m == 4)
-    assert(t.edges.toSet == Set((1, 0, 0.5), (2, 0, 0.25), (3, 1, 1.0), (3, 2, 0.1)))
+    assert(t.edges.toSet == Set((1, 0, 0.5), (2, 0, 0.25), (3, 1, 1.0), (3, 2, eff(0.1))))
   }
 
   test("transpose twice is the identity on edges") {
@@ -85,17 +91,31 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("withProbs rewrites both adjacency copies consistently") {
-    val g = diamond.withProbs((u, v) => (u + v + 1) / 10.0)
-    g.edges.foreach { case (u, v, p) =>
-      assert(math.abs(p - (u + v + 1) / 10.0) < 1e-12)
+    def p(u: Int, v: Int) = (u + v + 1) / 10.0
+    val g = diamond.withProbs(p)
+    g.edges.foreach { case (u, v, q) =>
+      assert(math.abs(q - p(u, v)) < 1e-12)
+    }
+    (0 until g.n).foreach { u =>
+      (g.outOffsets(u) until g.outOffsets(u + 1)).foreach { i =>
+        assert(g.outEdges.threshold(i) == threshold(p(u, g.outDst(i))))
+      }
     }
     // Reverse copy must agree.
     (0 until g.n).foreach { v =>
       (g.inOffsets(v) until g.inOffsets(v + 1)).foreach { i =>
-        val u = g.inSrc(i)
-        assert(math.abs(g.inProb(i) - (u + v + 1) / 10.0) < 1e-12)
+        assert(g.inEdges.threshold(i) == threshold(p(g.inSrc(i), v)))
       }
     }
+  }
+
+  test("transpose and withProbs share the offsets and adjacency of their source") {
+    val g = diamond
+    val t = g.transpose
+    assert((t.outEdges eq g.inEdges) && (t.inEdges eq g.outEdges))
+    val w = g.withProbs((_, _) => 0.5)
+    assert((w.outOffsets eq g.outOffsets) && (w.outDst eq g.outDst))
+    assert((w.inOffsets eq g.inOffsets) && (w.inSrc eq g.inSrc))
   }
 
   test("self-loops and parallel edges are preserved (multigraph semantics)") {
@@ -132,42 +152,30 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
-  /** Ships a graph as the trial runner's broadcast does; `LiveEdges` itself is not `Serializable`. */
-  private def roundTrip(g: LocalGraph): LocalGraph = {
+  test("threshold(prob(t)) == t for every threshold t in [0, 2^53]") {
+    val top = 1L << 53
+    val rng = new SplittableRandom(20200614L)
+    for (t <- Seq(0L, 1L, 2L, top - 1, top) ++ Seq.fill(100000)(rng.nextLong(top + 1)))
+      assert(threshold(LocalGraph.prob(t)) == t, s"t=$t")
+  }
+
+  test("the effective probability is at most 2^-53 above p, and p when p·2^53 is an integer") {
+    for (p <- Seq(0.0, 0.1, 0.01, 1.0 / 3, 0.5, 0.25, 1.0 / 733, 1e-300, 1.0)) {
+      assert(eff(p) >= p && eff(p) - p <= math.pow(2, -53), s"p=$p")
+    }
+    for (p <- Seq(0.0, 0.5, 0.25, 0.125, 1.0, math.pow(2, -53))) assert(eff(p) == p, s"p=$p")
+  }
+
+  test("survives Java serialization with both directions and their thresholds") {
+    val g = diamond
     val bytes = new java.io.ByteArrayOutputStream
     val out = new java.io.ObjectOutputStream(bytes)
     out.writeObject(g)
     out.close()
-    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
       .readObject().asInstanceOf[LocalGraph]
-  }
-
-  test("inEdges survives Java serialization with its thresholds") {
-    val g = diamond
-    val in = g.inEdges // built, so a non-transient one would ship
-    val back = roundTrip(g)
-    assert((back ne g) && back.sameAs(g)) // equal arrays in both directions
-    val rebuilt = back.inEdges
-    assert(rebuilt ne in)
-    assert(rebuilt.n == g.n)
-    assert(rebuilt.offsets.toSeq == g.inOffsets.toSeq)
-    assert(rebuilt.adj.toSeq == g.inSrc.toSeq)
-    assert(rebuilt.threshold.toSeq == in.threshold.toSeq)
-    assert(rebuilt.threshold.toSeq == g.inProb.toSeq.map(LocalGraph.threshold))
-  }
-
-  test("outEdges survives Java serialization with its thresholds") {
-    val g = diamond
-    val fwd = g.outEdges // built, so a non-transient one would ship
-    val back = roundTrip(g)
-    assert((back ne g) && back.sameAs(g))
-    val rebuilt = back.outEdges
-    assert(rebuilt ne fwd)
-    assert(rebuilt.n == g.n)
-    assert(rebuilt.offsets.toSeq == g.outOffsets.toSeq)
-    assert(rebuilt.adj.toSeq == g.outDst.toSeq)
-    assert(rebuilt.threshold.toSeq == fwd.threshold.toSeq)
-    assert(rebuilt.threshold.toSeq == g.outProb.toSeq.map(LocalGraph.threshold))
+    assert((back ne g) && (back.outEdges ne g.outEdges) && (back.inEdges ne g.inEdges))
+    assert(back.sameAs(g))
   }
 
   test("sameAs holds for equal arrays and fails on any difference") {
@@ -176,6 +184,51 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(!g.sameAs(g.withProbs((_, _) => 0.5)))
     assert(!g.sameAs(g.transpose))
     assert(!g.sameAs(LocalGraph.fromWeightedEdges(5, g.edges)))
+    // One threshold apart, in either direction alone.
+    val t = g.outEdges.threshold.clone()
+    t(0) += 1
+    assert(!g.sameAs(new LocalGraph(4, new LiveEdges(4, g.outOffsets, g.outDst, t), g.inEdges)))
+    assert(!g.sameAs(new LocalGraph(4, g.outEdges, new LiveEdges(4, g.inOffsets, g.inSrc, t))))
+  }
+
+  private def intercepted(f: => Any): String = intercept[IllegalArgumentException](f).getMessage
+
+  test("a direction needs n + 1 offsets") {
+    val e = intercepted(new LiveEdges(3, Array(0, 0, 0), Array.empty, Array.empty))
+    assert(e.contains("3 offsets for 3 vertices"), e)
+    assert(intercepted(new LiveEdges(-1, Array.empty, Array.empty, Array.empty))
+      .contains("0 offsets for -1 vertices"))
+  }
+
+  test("a direction's offsets start at 0") {
+    val e = intercepted(new LiveEdges(2, Array(1, 1, 1), Array(0), Array(0L)))
+    assert(e.contains("offsets start at 1, not 0"), e)
+  }
+
+  test("a direction's offsets end at its endpoint count") {
+    val e = intercepted(new LiveEdges(1, Array(0, 2), Array(0), Array(0L)))
+    assert(e.contains("offsets end at 2, with 1 endpoints and 1 thresholds"), e)
+  }
+
+  test("a direction has one threshold per endpoint") {
+    val e = intercepted(new LiveEdges(1, Array(0, 1), Array(0), Array(0L, 0L)))
+    assert(e.contains("offsets end at 1, with 1 endpoints and 2 thresholds"), e)
+  }
+
+  test("a graph's directions have its vertex count") {
+    val g = diamond
+    val small = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2), (2, 0)))
+    val e = intercepted(new LocalGraph(4, g.outEdges, small.inEdges))
+    assert(e.contains("directions have 4 (out) and 3 (in) vertices, graph has 4"), e)
+    assert(intercepted(new LocalGraph(5, g.outEdges, g.inEdges))
+      .contains("directions have 4 (out) and 4 (in) vertices, graph has 5"))
+  }
+
+  test("a graph's directions have the same edge count") {
+    val g = diamond
+    val fewer = LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)))
+    val e = intercepted(new LocalGraph(4, g.outEdges, fewer.inEdges))
+    assert(e.contains("directions have 4 (out) and 3 (in) edges"), e)
   }
 
   test("CSR offsets are monotone and end at m") {

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 import scala.jdk.CollectionConverters._
 import repro.{Oracle, SparkSpec}
 import repro.core.{Costs, ExactInfluence, RRCollection, RRSets, SimScratch}
-import repro.graphs.{GraphGen, LocalGraph, ProbModel}
+import repro.graphs.{GraphGen, LiveEdges, LocalGraph, ProbModel}
 
 class RRSetJobSpec extends SparkSpec {
 
@@ -82,9 +82,9 @@ class RRSetJobSpec extends SparkSpec {
   }
 
   test("a failing block surfaces its own exception and leaves no drawing thread alive") {
-    // inOffsets run past inSrc, so every RR set reads beyond the in-edges.
-    val bad = new LocalGraph(1, Array(0, 0), Array.empty, Array.empty,
-                             Array(0, 2), Array(0), Array(1.0))
+    // A live edge from vertex 5 of a 1-vertex graph: every RR set marks outside [0, n).
+    val edge = new LiveEdges(1, Array(0, 1), Array(5), Array(LocalGraph.threshold(1.0)))
+    val bad = new LocalGraph(1, edge, edge)
     val sequential = intercept[Throwable](RRCollection.generate(
       bad.inEdges, RRSetJob.BlockSize, new SplittableRandom(1), new Costs))
     val built = intercept[Throwable](RRSetJob(spark, bad, 4L * RRSetJob.BlockSize, seed = 1))

@@ -1,6 +1,5 @@
 package repro.spark
 
-import org.apache.spark.SparkException
 import repro.SparkSpec
 import repro.graphs.{GraphGen, ProbModel}
 
@@ -79,15 +78,6 @@ class TrialRunnerSpec extends SparkSpec {
     assertThrows[IllegalArgumentException] {
       TrialRunner.runCollect(spark, g, Alg.RisAlg, 1, 1, 0, baseSeed = 1)
     }
-  }
-
-  test("a job whose closure captures a graph direction fails at submission") {
-    val in = g.inEdges
-    val e = intercept[SparkException] {
-      spark.sparkContext.parallelize(0 until g.n, 2).map(v => in.offsets(v + 1) - in.offsets(v))
-        .collect()
-    }
-    assert(e.getMessage.contains("Task not serializable"))
   }
 
   test("pack puts every item in one slice, longest first into the lightest") {
