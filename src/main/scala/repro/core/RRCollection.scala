@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import repro.graphs.LiveEdges
 
 /** A batch of RR sets in one flat format: set `i` is
@@ -72,22 +73,34 @@ object RRCollection {
     new RRCollection(in.n, offsets, java.util.Arrays.copyOf(members, len))
   }
 
-  /** Inverted index vertex → set ids of the sets of `parts` taken in order,
-    * the ids of each part following those of the parts before it, in CSR
-    * form `(vertexOffsets, setIds)`; vertex v is in
+  /** Name prefix of [[run]]'s helper threads, `rr-oracle-<i>`. */
+  private[repro] val ThreadName: String = "rr-oracle"
+
+  /** Inverted index vertex → set ids of the sets of `part(b)` for b in
+    * `0 until parts`, the ids of each part following those of the parts
+    * before it, in CSR form `(vertexOffsets, setIds)`; vertex v is in
     * `vertexOffsets(v + 1) - vertexOffsets(v)` sets. One counting sort over
-    * the parts, without concatenating them, in three steps: [[count]] each
-    * part, [[place]] the counts, [[scatter]] each part. Every vertex's ids
-    * ascend. The oracle runs the same steps with the per-part ones spread
-    * over threads.
+    * the parts, without concatenating them, on up to `threads` workers of
+    * [[run]]: each produces whole parts and [[count counts]] each in the
+    * same pass, the caller [[place places]] the counts, then each worker
+    * [[scatter scatters]] a contiguous range of parts, so that within a
+    * vertex's ids the workers write apart rather than into shared cache
+    * lines. Every vertex's ids ascend, and the index does not depend on
+    * `threads`.
     */
-  def invert(n: Int, parts: Seq[RRCollection]): (Array[Int], Array[Int]) = {
-    val counts = parts.map(count)
-    val (vertexOffsets, setIds) = place(n, parts, counts)
-    var first = 0
-    parts.lazyZip(counts).foreach { (p, cursors) =>
-      scatter(p, first, cursors, setIds)
-      first += p.size
+  def invert(n: Int, parts: Int, threads: Int)(part: Int => RRCollection): (Array[Int], Array[Int]) = {
+    val ps = new Array[RRCollection](parts)
+    val counts = new Array[Array[Int]](parts)
+    run(parts, threads) { b => ps(b) = part(b); counts(b) = count(ps(b)) }
+    val (vertexOffsets, setIds) = place(n, ps, counts)
+    val firstIds = ps.scanLeft(0)(_ + _.size)
+    val workers = math.min(parts, threads)
+    run(workers, workers) { w =>
+      var b = (w.toLong * parts / workers).toInt
+      while (b < (w + 1L) * parts / workers) {
+        scatter(ps(b), firstIds(b), counts(b), setIds)
+        b += 1
+      }
     }
     (vertexOffsets, setIds)
   }
@@ -95,7 +108,7 @@ object RRCollection {
   /** Per-vertex member counts of `part`: entry v is the number of its sets
     * that contain v.
     */
-  def count(part: RRCollection): Array[Int] = {
+  private def count(part: RRCollection): Array[Int] = {
     val counts = new Array[Int](part.n)
     val members = part.members
     var j = 0
@@ -108,14 +121,13 @@ object RRCollection {
     * in place into its write cursors for [[scatter]]: entry v becomes
     * `vertexOffsets(v)` plus the counts of v in the earlier parts.
     */
-  def place(n: Int, parts: Seq[RRCollection],
-            counts: Seq[Array[Int]]): (Array[Int], Array[Int]) = {
+  private def place(n: Int, parts: Array[RRCollection],
+                    counts: Array[Array[Int]]): (Array[Int], Array[Int]) = {
     val sets = parts.map(_.size.toLong).sum
     val stored = parts.map(_.storedVertices).sum
     require(sets <= MaxLength, s"RR-set count $sets exceeds $MaxLength")
     require(stored <= MaxLength, s"stored RR-set vertices $stored exceed $MaxLength")
     parts.foreach(p => require(p.n == n, s"part on ${p.n} vertices, expected $n"))
-    require(counts.length == parts.length, s"${counts.length} counts for ${parts.length} parts")
     val vertexOffsets = new Array[Int](n + 1)
     counts.foreach { c =>
       var v = 0
@@ -135,8 +147,8 @@ object RRCollection {
     * `setIds` at its `cursors` from [[place]], advancing them. Parts write
     * disjoint ranges of `setIds`, so they may be scattered concurrently.
     */
-  def scatter(part: RRCollection, firstId: Int, cursors: Array[Int],
-              setIds: Array[Int]): Unit = {
+  private def scatter(part: RRCollection, firstId: Int, cursors: Array[Int],
+                      setIds: Array[Int]): Unit = {
     val offsets = part.offsets
     val members = part.members
     var i = 0
@@ -151,5 +163,39 @@ object RRCollection {
       }
       i += 1
     }
+  }
+
+  /** Runs `task` on 0 until `count` over min(`count`, `threads`) workers:
+    * the caller's thread and daemon `rr-oracle-<i>` threads, each taking
+    * the next task until none is left, a task has failed or the caller is
+    * interrupted. Once every thread has ended, the first failure is
+    * rethrown as it was thrown, so a run leaves no thread behind. An
+    * interrupted caller gets an `InterruptedException`, whatever the worker
+    * count, and never a partial result.
+    */
+  private[repro] def run(count: Int, threads: Int)(task: Int => Unit): Unit = {
+    val next = new AtomicInteger(0)
+    val failure = new AtomicReference[Throwable]
+    val work: Runnable = () => {
+      var i = next.getAndIncrement()
+      while (i < count && failure.get == null && !Thread.currentThread.isInterrupted) {
+        try task(i)
+        catch { case e: Throwable => failure.compareAndSet(null, e) }
+        i = next.getAndIncrement()
+      }
+    }
+    val helpers = (1 until math.min(count, threads)).map { i =>
+      val t = new Thread(work, s"$ThreadName-$i")
+      t.setDaemon(true)
+      t.start()
+      t
+    }
+    work.run()
+    // An interrupted caller stops the threads from taking further tasks.
+    try {
+      helpers.foreach(_.join())
+      if (Thread.interrupted()) throw new InterruptedException(s"$ThreadName run interrupted")
+    } catch { case e: InterruptedException => failure.compareAndSet(null, e); throw e }
+    if (failure.get != null) throw failure.get
   }
 }

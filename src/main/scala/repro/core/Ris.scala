@@ -26,13 +26,13 @@ final class Ris(g: LocalGraph, theta: Int) extends InfluenceEstimator {
 
   private val costsAcc = new Costs
   private var rr = new RRCollection(g.n, Array(0), Array.emptyIntArray)
-  private var index = RRCollection.invert(g.n, Seq(rr)) // v -> RR ids, CSR
+  private var index = RRCollection.invert(g.n, 1, 1)(_ => rr) // v -> RR ids, CSR
   private val covered = new Array[Boolean](theta)
-  private val cnt = new Array[Int](g.n)                 // uncovered RR sets containing v
+  private val cnt = new Array[Int](g.n)                       // uncovered RR sets containing v
 
   override def build(rng: SplittableRandom): Unit = {
     rr = RRCollection.generate(g.inEdges, theta, rng, costsAcc)
-    index = RRCollection.invert(g.n, Seq(rr))
+    index = RRCollection.invert(g.n, 1, 1)(_ => rr)
     val offsets = index._1
     var v = 0
     while (v < g.n) { cnt(v) = offsets(v + 1) - offsets(v); v += 1 }

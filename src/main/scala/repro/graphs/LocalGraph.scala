@@ -74,9 +74,6 @@ final class LocalGraph(val n: Int, val outEdges: LiveEdges, val inEdges: LiveEdg
     for (u <- 0 until n; i <- outOffsets(u) until outOffsets(u + 1))
       yield (u, outDst(i), LocalGraph.prob(outEdges.threshold(i)))
 
-  /** The transposed influence graph 𝒢ᵀ; a forward cascade on it is an RR set. */
-  def transpose: LocalGraph = new LocalGraph(n, inEdges, outEdges)
-
   /** Returns a copy with every edge probability replaced by `f(u, v)`,
     * which must lie in [0,1]. The copy shares this graph's offsets and
     * adjacency arrays.

@@ -1,7 +1,6 @@
 package repro.spark
 
 import java.util.SplittableRandom
-import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import org.apache.spark.sql.SparkSession
 import repro.core.{Costs, GreedyResult, RRCollection}
 import repro.graphs.{LiveEdges, LocalGraph}
@@ -13,14 +12,13 @@ import repro.graphs.{LiveEdges, LocalGraph}
   *
   * RR ids are cut into blocks of [[RRSetJob.BlockSize]]; block b draws its
   * sets from the PRNG seeded with `TrialRunner.mixSeed(seed, b)`. The
-  * blocks are drawn on the driver, on a few threads that read the graph's
-  * reverse adjacency and live-edge thresholds (`LocalGraph.inEdges`) in
-  * place; no Spark job runs. The same threads count each block's members,
-  * and after one serial [[RRCollection.place]] scatter each block's ids
-  * into one index in id order, without concatenating the blocks, so the
-  * oracle is a function of (graph, θ, seed) alone, not of the thread or
-  * core count. Only the inverted index is kept: a seed set S intersects an
-  * RR set with probability Inf(S)/n, so Inf(S) ≈ n · |RR sets covered by S| / θ.
+  * blocks are the parts of one [[RRCollection.invert]], drawn on the
+  * driver by a few threads that read the graph's reverse adjacency and
+  * live-edge thresholds (`LocalGraph.inEdges`) in place; no Spark job runs.
+  * The index is the same on any thread count, so the oracle is a function
+  * of (graph, θ, seed) alone, not of the thread or core count. Only the
+  * inverted index is kept: a seed set S intersects an RR set with
+  * probability Inf(S)/n, so Inf(S) ≈ n · |RR sets covered by S| / θ.
   *
   * @param spark its default parallelism caps the number of threads
   */
@@ -35,7 +33,10 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
   /** Inverted index vertex → RR-set ids in CSR form `(offsets, ids)`; the
     * ids of each vertex ascend.
     */
-  val invertedIndex: (Array[Int], Array[Int]) = RRSetJob.index(g.inEdges, theta, seed, threads)
+  val invertedIndex: (Array[Int], Array[Int]) = {
+    val blocks = ((theta + RRSetJob.BlockSize - 1) / RRSetJob.BlockSize).toInt
+    RRCollection.invert(g.n, blocks, threads)(RRSetJob.block(g.inEdges, theta, seed))
+  }
 
   /** Estimated influence of each seed set, keyed by [[GreedyResult.keyOf]].
     * A vertex outside [0, n) fails with an `IllegalArgumentException`.
@@ -57,7 +58,7 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
     val values = new Array[Double](all.size)
     val per = RRSetJob.SetsPerWorker
     val workers = math.min(threads, (all.size + per - 1) / per)
-    RRSetJob.run(workers, workers) { w =>
+    RRCollection.run(workers, workers) { w =>
       val stamp = new Array[Int](theta.toInt)
       var i = (w.toLong * all.size / workers).toInt
       val end = ((w + 1L) * all.size / workers).toInt
@@ -96,71 +97,17 @@ object RRSetJob {
     */
   private[spark] val SetsPerWorker: Int = 64
 
-  /** Name prefix of the worker threads, `rr-oracle-<i>`. */
-  private[spark] val ThreadName: String = "rr-oracle"
-
   /** Builds an oracle of `theta` RR sets on `g` from `seed`. */
   def apply(spark: SparkSession, g: LocalGraph, theta: Long, seed: Long): RRSetJob =
     new RRSetJob(spark, g, theta, seed)
 
-  /** The inverted index of `theta` RR sets over `in` in blocks of
-    * [[BlockSize]], built on up to `threads` workers: each draws and
-    * [[RRCollection.count counts]] whole blocks, the caller
-    * [[RRCollection.place places]] them, then each scatters a contiguous
-    * range of blocks, so that within a vertex's ids the workers write apart
-    * rather than into shared cache lines. Equal to [[RRCollection.invert]]
-    * of the blocks in block order.
+  /** Block `b` of `theta` RR sets over `in`: the next (at most)
+    * [[BlockSize]] sets, drawn from the PRNG seeded with
+    * `TrialRunner.mixSeed(seed, b)`.
     */
-  private[spark] def index(in: LiveEdges, theta: Long, seed: Long,
-                           threads: Int): (Array[Int], Array[Int]) = {
-    val count = ((theta + BlockSize - 1) / BlockSize).toInt
-    val blocks = new Array[RRCollection](count)
-    val counts = new Array[Array[Int]](count)
-    run(count, threads) { b =>
-      val rng = new SplittableRandom(TrialRunner.mixSeed(seed, b.toLong))
-      val size = math.min(BlockSize.toLong, theta - b.toLong * BlockSize).toInt
-      blocks(b) = RRCollection.generate(in, size, rng, new Costs)
-      counts(b) = RRCollection.count(blocks(b))
-    }
-    val (offsets, setIds) = RRCollection.place(in.n, blocks.toSeq, counts.toSeq)
-    val workers = math.min(count, threads)
-    run(workers, workers) { w =>
-      var b = (w.toLong * count / workers).toInt
-      while (b < (w + 1L) * count / workers) {
-        RRCollection.scatter(blocks(b), b * BlockSize, counts(b), setIds)
-        b += 1
-      }
-    }
-    (offsets, setIds)
-  }
-
-  /** Runs `task` on 0 until `count` over min(`count`, `threads`) workers:
-    * the caller's thread and daemon `rr-oracle-<i>` threads, each taking
-    * the next task until none is left, a task has failed or the caller is
-    * interrupted. Once every thread has ended, the first failure is
-    * rethrown as it was thrown, so a run leaves no thread behind.
-    */
-  private def run(count: Int, threads: Int)(task: Int => Unit): Unit = {
-    val next = new AtomicInteger(0)
-    val failure = new AtomicReference[Throwable]
-    val work: Runnable = () => {
-      var i = next.getAndIncrement()
-      while (i < count && failure.get == null && !Thread.currentThread.isInterrupted) {
-        try task(i)
-        catch { case e: Throwable => failure.compareAndSet(null, e) }
-        i = next.getAndIncrement()
-      }
-    }
-    val helpers = (1 until math.min(count, threads)).map { i =>
-      val t = new Thread(work, s"$ThreadName-$i")
-      t.setDaemon(true)
-      t.start()
-      t
-    }
-    work.run()
-    // An interrupted caller stops the threads from taking further tasks.
-    try helpers.foreach(_.join())
-    catch { case e: InterruptedException => failure.compareAndSet(null, e); throw e }
-    if (failure.get != null) throw failure.get
+  private[spark] def block(in: LiveEdges, theta: Long, seed: Long)(b: Int): RRCollection = {
+    val rng = new SplittableRandom(TrialRunner.mixSeed(seed, b.toLong))
+    val size = math.min(BlockSize.toLong, theta - b.toLong * BlockSize).toInt
+    RRCollection.generate(in, size, rng, new Costs)
   }
 }

@@ -25,7 +25,7 @@ class RRCollectionSpec extends AnyFunSuite {
 
   test("invert lists every set id, ascending, under each of its members") {
     val c = RRCollection.generate(g.inEdges, 300, new SplittableRandom(4), new Costs)
-    val (offsets, ids) = RRCollection.invert(c.n, Seq(c))
+    val (offsets, ids) = RRCollection.invert(c.n, 1, 1)(_ => c)
     val byVertex = (0 until g.n).map(v => ids.slice(offsets(v), offsets(v + 1)).toSeq)
     val expected = (0 until g.n).map(v => sets(c).indices.filter(i => sets(c)(i).contains(v)))
     assert(byVertex == expected)
@@ -38,8 +38,8 @@ class RRCollectionSpec extends AnyFunSuite {
     val offsets = a.offsets ++ c.offsets.tail.map(_ + a.members.length)
     val all = new RRCollection(g.n, offsets, a.members ++ c.members)
     assert(sets(all) == sets(a) ++ sets(c))
-    val (vo, ids) = RRCollection.invert(g.n, Seq(a, b, c))
-    val (refVo, refIds) = RRCollection.invert(all.n, Seq(all))
+    val (vo, ids) = RRCollection.invert(g.n, 3, 1)(Seq(a, b, c))
+    val (refVo, refIds) = RRCollection.invert(all.n, 1, 1)(_ => all)
     assert(vo.toSeq == refVo.toSeq)
     assert(ids.toSeq == refIds.toSeq)
     assert(ids.max == a.size + c.size - 1)
@@ -49,7 +49,7 @@ class RRCollectionSpec extends AnyFunSuite {
     val a = RRCollection.generate(g.inEdges, 3, new SplittableRandom(8), new Costs)
     val other = RRCollection.generate(LocalGraph.fromWeightedEdges(2, Seq((0, 1, 0.5))).inEdges,
                                       3, new SplittableRandom(9), new Costs)
-    val e = intercept[IllegalArgumentException](RRCollection.invert(g.n, Seq(a, other)))
+    val e = intercept[IllegalArgumentException](RRCollection.invert(g.n, 2, 1)(Seq(a, other)))
     assert(e.getMessage.contains(s"part on 2 vertices, expected ${g.n}"))
   }
 

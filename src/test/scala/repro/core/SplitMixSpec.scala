@@ -140,7 +140,7 @@ class SplitMixSpec extends AnyFunSuite {
   test("Ic.simulate on the transposed graph from z is the RR set of z: members, costs and the next draw") {
     check(Prop.forAll(graphGen, Gen.long, Gen.oneOf(false, true)) { (g, seed, split) =>
       val (rng, twin) = twins(seed, split)
-      val t = g.transpose.outEdges
+      val t = g.inEdges
       val (sa, sb) = (new SimScratch(g.n), new SimScratch(g.n))
       val (ca, cb) = (new Costs, new Costs)
       (0 until g.n).forall { z =>

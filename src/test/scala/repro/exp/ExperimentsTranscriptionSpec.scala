@@ -5,29 +5,30 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import scala.math.BigDecimal.RoundingMode
 
-/** The "measured" cells of EXPERIMENTS.md's Tables 3, 4, 6 and 9 and of its
-  * measured Karate grid of Table 8 against the `[table3]`/`[table4]`/
-  * `[table6]`/`[table8]`/`[table9]` lines of `bench_output.txt` they
-  * transcribe. A cell
-  * matches when the artifact's value, rounded half-up to the digits the cell
-  * shows, is the cell; thousands separators and `–` for `-` are allowed, and
-  * the scaled networks drop their `~`.
+/** The "measured" cells of EXPERIMENTS.md's Tables 3 to 7 and 9 and of its
+  * measured Karate grid of Table 8 against the `[tableN]` lines of
+  * `bench_output.txt` they transcribe. A cell matches when the artifact's
+  * value, rounded half-up to the digits the cell shows, is the cell;
+  * thousands separators and `–` for `-` are allowed, and the scaled
+  * networks drop their `~`.
   */
 class ExperimentsTranscriptionSpec extends AnyFunSuite {
 
   private def lines(file: String): Seq[String] =
     Files.readAllLines(Paths.get(file)).asScala.toSeq
 
-  /** The rows of the tables under `## Table <table>`, header rows dropped,
-    * as trimmed columns.
+  /** The first table after the first line starting with `caption`, header
+    * row included, as trimmed columns; an escaped `\|` does not end a
+    * column.
     */
-  private def rows(table: Int): Seq[Seq[String]] =
-    lines("EXPERIMENTS.md")
-      .dropWhile(!_.startsWith(s"## Table $table "))
-      .drop(1).takeWhile(!_.startsWith("## "))
-      .filter(l => l.startsWith("| ") && !l.startsWith("|---"))
-      .drop(1) // header
-      .map(_.split("\\|").map(_.trim).filter(_.nonEmpty).toSeq)
+  private def tableAfter(caption: String): Seq[Seq[String]] =
+    lines("EXPERIMENTS.md").dropWhile(!_.startsWith(caption)).drop(1)
+      .dropWhile(!_.startsWith("| ")).takeWhile(_.startsWith("|"))
+      .filter(!_.startsWith("|---"))
+      .map(_.split("(?<!\\\\)\\|").map(_.trim).filter(_.nonEmpty).toSeq)
+
+  /** The rows of the first table under `## Table <table>`, header dropped. */
+  private def rows(table: Int): Seq[Seq[String]] = tableAfter(s"## Table $table ").tail
 
   /** The measured column (the third) of the rows of `## Table <table>`, by
     * first column, split into cells at ` / `.
@@ -40,10 +41,7 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     * each cell split at ` / `.
     */
   private def grid(caption: String): Map[String, Seq[String]] = {
-    val rows = lines("EXPERIMENTS.md").dropWhile(!_.startsWith(caption)).drop(1)
-      .dropWhile(!_.startsWith("| ")).takeWhile(_.startsWith("|"))
-      .filter(!_.startsWith("|---"))
-      .map(_.split("\\|").map(_.trim).filter(_.nonEmpty).toSeq)
+    val rows = tableAfter(caption)
     val header = rows.head
     rows.tail.flatMap { r =>
       header.indices.tail.map(c => s"${r.head} ${header(c)}" -> r(c).split(" / ").toSeq)
@@ -58,6 +56,7 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
   private def agrees(cell: String, value: String): Boolean =
     cell.replace(",", "").replace("–", "-") match {
       case "-" => value == "-"
+      case ">max" => value == ">max"
       case _ if value == "-" => false
       case c =>
         val (shown, exact) = (BigDecimal(c), BigDecimal(value))
@@ -93,10 +92,39 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     check(cells, artifact("table4").map(f => s"${f(0)} ${f(1)}" -> f.drop(2)).toMap)
   }
 
+  test("Table 5 measured rows transcribe the [table5] lines; >N is >max at a 2^N grid maximum") {
+    val cells = rows(5).map { cols =>
+      val Seq(network, model, k) = cols(0).replace(" k=", " ").split(" ").toSeq
+      val cfg = BenchPlan.sweepRow(network, model, k.toInt).get.cfg
+      val gridMax = Seq(cfg.oneshotMax, cfg.snapshotMax, cfg.risMax)
+      cols(0) -> cols(2).replace("\\|", " ").split("\\s+").toSeq.zipWithIndex.map {
+        case (c, i) if i % 2 == 0 && c.startsWith(">") =>
+          if ((1L << c.tail.toInt) == gridMax(i / 2)) ">max" else c
+        case (c, _) => c
+      }
+    }.toMap
+    assert(cells.size == 14 && cells.values.forall(_.size == 6))
+    val out = artifact("table5").map(f => s"${f(0)} ${f(1)} k=${f(2)}" -> f.drop(3).filter(_ != "|"))
+    check(cells, out.filter(l => cells.contains(l._1)).toMap)
+  }
+
   test("Table 6 measured cells transcribe the [table6] lines") {
     val cells = measured(6).map { case (row, cs) => row -> cs.map(_.stripSuffix(" — **exact**")) }
     assert(cells.size == 15)
     check(cells, artifact("table6").map(f => s"${f(0)} ${f(1)}" -> f.drop(2)).toMap)
+  }
+
+  test("Table 7 measured number and size ratios transcribe the [table7] lines") {
+    val out = artifact("table7").map(f => f.head.stripSuffix("~") +: f.tail.map(_.replace(",", "")))
+    val numbers = measured(7)
+    assert(numbers.size == 15)
+    check(numbers, out.map(f => s"${f(0)} ${f(1)}" -> f.slice(3, 7))
+                      .filter(l => numbers.contains(l._1)).toMap)
+    val sizes = tableAfter("Size ratios").tail.map(cols => cols(0) -> Seq(cols(2).split(" \\(")(0))).toMap
+    assert(sizes.size == 9)
+    val models = Seq("UC0.1", "UC0.01", "IWC", "OWC")
+    check(sizes, out.flatMap(f => models.indices.map(i => s"${f(0)} ${models(i)} k=${f(1)}" -> Seq(f(8 + i))))
+                    .filter(l => sizes.contains(l._1)).toMap)
   }
 
   test("Table 9 measured cells transcribe the [table9] lines, paper values aside") {

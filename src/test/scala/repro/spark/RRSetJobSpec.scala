@@ -42,12 +42,12 @@ class RRSetJobSpec extends SparkSpec {
       RRCollection.generate(g.inEdges, size,
         new SplittableRandom(TrialRunner.mixSeed(3, b.toLong)), new Costs)
     }
-    val (offsets, ids) = RRCollection.invert(g.n, blocks)
+    val (offsets, ids) = RRCollection.invert(g.n, blocks.size, 1)(blocks)
     val oracle = RRSetJob(spark, g, theta, seed = 3).invertedIndex
     assert(oracle._1.toSeq == offsets.toSeq && oracle._2.toSeq == ids.toSeq)
     // Draw, count and scatter on 1 thread, 3 threads, and more threads than the 6 blocks.
     for (threads <- Seq(1, 3, 16)) {
-      val (o, i) = RRSetJob.index(g.inEdges, theta, 3, threads)
+      val (o, i) = RRCollection.invert(g.n, blocks.size, threads)(RRSetJob.block(g.inEdges, theta, 3))
       assert(o.toSeq == offsets.toSeq && i.toSeq == ids.toSeq, s"threads=$threads")
     }
   }
@@ -77,7 +77,7 @@ class RRSetJobSpec extends SparkSpec {
       assert(e.getMessage.contains(s"vertex $bad outside [0, ${tiny.n})"), e.getMessage)
     }
     val alive = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
-      .filter(_.startsWith(RRSetJob.ThreadName))
+      .filter(_.startsWith(RRCollection.ThreadName))
     assert(alive.isEmpty, alive)
   }
 
@@ -90,8 +90,19 @@ class RRSetJobSpec extends SparkSpec {
     val built = intercept[Throwable](RRSetJob(spark, bad, 4L * RRSetJob.BlockSize, seed = 1))
     assert(built.getClass == sequential.getClass, built)
     val alive = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
-      .filter(_.startsWith(RRSetJob.ThreadName))
+      .filter(_.startsWith(RRCollection.ThreadName))
     assert(alive.isEmpty, alive)
+  }
+
+  test("an interrupted caller gets an InterruptedException, not a partial result, on one worker") {
+    val oracle = tinyOracle // built before the flag is set
+    val block = RRCollection.generate(tiny.inEdges, 10, new SplittableRandom(2), new Costs)
+    Thread.currentThread.interrupt()
+    try {
+      intercept[InterruptedException](RRCollection.invert(tiny.n, 1, 1)(_ => block))
+      Thread.currentThread.interrupt()
+      intercept[InterruptedException](oracle.influenceOfSets(Seq(Seq(0), Seq(1, 2))))
+    } finally Thread.interrupted()
   }
 
   test("every RR set contains at least its target (non-empty)") {
