@@ -26,7 +26,7 @@ final class Ris(g: LocalGraph, theta: Int) extends InfluenceEstimator {
 
   private val costsAcc = new Costs
   private var rr = new RRCollection(g.n, Array(0), Array.emptyIntArray)
-  private var index = RRCollection.invert(g.n, 1, 1)(_ => rr) // v -> RR ids, CSR
+  private var index: (Array[Int], Array[Int]) = _             // v -> RR ids, CSR; set by build
   private val covered = new Array[Boolean](theta)
   private val cnt = new Array[Int](g.n)                       // uncovered RR sets containing v
 

@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.analysis.{ComparableRatio, InfluenceStats}
+import repro.analysis.ComparableRatio
 import repro.core.GreedyResult
 import repro.graphs.{GraphFrames, LocalGraph, ProbModel}
 import repro.spark.{Alg, RRSetJob, TrialRunner}
@@ -119,18 +119,22 @@ object Tables {
     */
   final case class LeastSample(log2SampleNumber: Int, entropy: Double) extends Table5Cell
 
-  /** The least sample of `alg` on `sweep`; None when no grid point qualifies. */
-  def table5Cell(sweep: Sweep.Result, alg: Alg): Option[LeastSample] = {
-    val curve = sweep.curve(alg).map(p => p.sampleNumber -> p.influences)
-    InfluenceStats.leastSampleNumber(curve, sweep.referenceInfluence).map { s =>
-      val p = sweep.curve(alg).find(_.sampleNumber == s).get
-      LeastSample(java.lang.Long.numberOfTrailingZeros(s), p.entropy)
+  /** The Table 5 cell of `alg` on `sweep`, read off its curve in one pass:
+    * NotRun when it has no grid point, else the first point (sample number
+    * ascending) whose trials are ≥ 0.95 × the reference influence in at
+    * least 99% of cases (paper §5.2.1), or AboveMax when none is.
+    */
+  def leastSample(sweep: Sweep.Result, alg: Alg): Table5Cell = {
+    val curve = sweep.curve(alg)
+    val reference = sweep.referenceInfluence
+    if (curve.isEmpty) NotRun
+    else curve.find { p =>
+      val vals = p.influences
+      vals.nonEmpty && vals.count(_ >= 0.95 * reference).toDouble / vals.size >= 0.99
+    }.fold[Table5Cell](AboveMax) { p =>
+      LeastSample(java.lang.Long.numberOfTrailingZeros(p.sampleNumber), p.entropy)
     }
   }
-
-  /** The Table 5 cell of `alg` on `sweep`: NotRun when it has no grid point. */
-  def leastSample(sweep: Sweep.Result, alg: Alg): Table5Cell =
-    if (sweep.curve(alg).isEmpty) NotRun else table5Cell(sweep, alg).getOrElse(AboveMax)
 
   /** One Table 5 row; `cells` follow `Alg.all` (Oneshot, Snapshot, RIS). */
   final case class LeastSampleRow(network: String, model: String, k: Int,

@@ -27,30 +27,25 @@ object GraphFrames {
 
     def apply(g: LocalGraph): Skeleton = {
       import g.{n, outDst, outOffsets}
-      def edges(u: Int) = outOffsets(u) until outOffsets(u + 1)
-      // Both orientations of every non-loop edge, bucketed by endpoint.
-      val start = new Array[Int](n + 1)
-      for (u <- 0 until n; i <- edges(u)) if (outDst(i) != u) {
-        start(u + 1) += 1; start(outDst(i) + 1) += 1
-      }
-      for (v <- 0 until n) start(v + 1) += start(v)
-      val adj = new Array[Int](start(n))
-      val pos = start.clone()
-      for (u <- 0 until n; i <- edges(u)) if (outDst(i) != u) {
-        adj(pos(u)) = outDst(i); pos(u) += 1
-        adj(pos(outDst(i))) = u; pos(outDst(i)) += 1
-      }
-      // Sort each bucket and drop repeats, compacting in place.
-      val offsets = new Array[Int](n + 1)
+      // Both orientations u·n + v and v·n + u of every non-loop edge, sorted
+      // once: each row's neighbours come out ascending, repeats adjacent.
+      val keys = new Array[Long](2 * g.m)
       var k = 0
-      for (v <- 0 until n) {
-        java.util.Arrays.sort(adj, start(v), start(v + 1))
-        for (i <- start(v) until start(v + 1)) {
-          if (k == offsets(v) || adj(k - 1) != adj(i)) { adj(k) = adj(i); k += 1 }
-        }
-        offsets(v + 1) = k
+      for (u <- 0 until n; i <- outOffsets(u) until outOffsets(u + 1)) if (outDst(i) != u) {
+        keys(k) = u.toLong * n + outDst(i); keys(k + 1) = outDst(i).toLong * n + u; k += 2
       }
-      new Skeleton(n, offsets, java.util.Arrays.copyOf(adj, k))
+      java.util.Arrays.sort(keys, 0, k)
+      // Each distinct key's v goes into row u; an empty row ends where the
+      // row before it does.
+      val offsets = new Array[Int](n + 1)
+      val nbrs = new Array[Int](k)
+      var d = 0
+      for (i <- 0 until k) if (i == 0 || keys(i) != keys(i - 1)) {
+        nbrs(d) = (keys(i) % n).toInt; d += 1
+        offsets((keys(i) / n).toInt + 1) = d
+      }
+      for (v <- 0 until n) offsets(v + 1) = offsets(v + 1) max offsets(v)
+      new Skeleton(n, offsets, java.util.Arrays.copyOf(nbrs, d))
     }
   }
 

@@ -39,21 +39,20 @@ class TablesSpec extends AnyFunSuite {
   test("table5Cell finds the least sample number at 0.95 of the reference") {
     val sweep = syntheticSweep()
     // Snapshot mean log(2s) >= 0.95·log(256) ⇔ 2s >= 256^0.95 ⇒ s = 128.
-    val cell = Tables.table5Cell(sweep, Alg.SnapshotAlg)
-    assert(cell.isDefined)
-    assert(cell.get.log2SampleNumber == 7)
+    val cell = Tables.leastSample(sweep, Alg.SnapshotAlg)
+    assert(cell.isInstanceOf[Tables.LeastSample])
+    assert(cell.asInstanceOf[Tables.LeastSample].log2SampleNumber == 7)
   }
 
   test("table5Cell is None when the curve never qualifies") {
     val sweep = syntheticSweep()
-    assert(Tables.table5Cell(sweep, Alg.OneshotAlg).isDefined == (
-      // Oneshot's top mean log(64) vs threshold 0.95·log(256): log(64)=4.16 < 5.27
-      false))
+    // Oneshot's top mean log(64) vs threshold 0.95·log(256): log(64)=4.16 < 5.27
+    assert(Tables.leastSample(sweep, Alg.OneshotAlg) == Tables.AboveMax)
   }
 
   test("table5Cell reports the entropy at the qualifying point") {
     val sweep = syntheticSweep()
-    val cell = Tables.table5Cell(sweep, Alg.SnapshotAlg).get
+    val cell = Tables.leastSample(sweep, Alg.SnapshotAlg).asInstanceOf[Tables.LeastSample]
     assert(cell.entropy == 1.0)
   }
 
@@ -68,6 +67,42 @@ class TablesSpec extends AnyFunSuite {
       "[table5] BA_d           IWC     16 |     -     - |     7  1.00 |    13  1.00")
   }
 
+  /** A sweep whose only curve is Snapshot's: one point per (sample number,
+    * influences), with entropy log₂ of the sample number.
+    */
+  private def curveSweep(reference: Double, points: (Long, Seq[Double])*): Sweep.Result =
+    Sweep.Result(points.map { case (s, infs) =>
+      Sweep.Point("Snapshot", s, java.lang.Long.numberOfTrailingZeros(s).toDouble, infs,
+                  infs.sum / infs.size, 0.0, 0.0, 0.0)
+    }, "0", reference)
+
+  test("leastSample finds the first qualifying grid point") {
+    val sweep = curveSweep(9.0,
+      1L -> Seq(1.0, 1.0, 1.0, 1.0),
+      2L -> Seq(9.0, 9.0, 9.0, 1.0),   // 75% success
+      4L -> Seq(9.0, 9.0, 9.0, 9.0),   // 100% success
+      8L -> Seq(10.0, 10.0, 10.0, 10.0))
+    assert(Tables.leastSample(sweep, Alg.SnapshotAlg) == Tables.LeastSample(2, 2.0))
+  }
+
+  test("leastSample honours the probability threshold") {
+    val exactly99 = curveSweep(10.0, 1L -> (Seq.fill(99)(10.0) :+ 1.0))
+    assert(Tables.leastSample(exactly99, Alg.SnapshotAlg) == Tables.LeastSample(0, 0.0))
+    val only98 = curveSweep(10.0, 1L -> (Seq.fill(98)(10.0) ++ Seq(1.0, 1.0)))
+    assert(Tables.leastSample(only98, Alg.SnapshotAlg) == Tables.AboveMax)
+  }
+
+  test("leastSample applies the 0.95 near-optimality ratio") {
+    val atBar = curveSweep(10.0, 1L -> Seq(9.5, 9.6, 9.7, 9.5))
+    assert(Tables.leastSample(atBar, Alg.SnapshotAlg) == Tables.LeastSample(0, 0.0))
+    val belowBar = curveSweep(10.0, 1L -> Seq(9.4, 9.4, 9.4, 9.4))
+    assert(Tables.leastSample(belowBar, Alg.SnapshotAlg) == Tables.AboveMax)
+  }
+
+  test("leastSample of an empty curve is NotRun") {
+    assert(Tables.leastSample(curveSweep(1.0), Alg.SnapshotAlg) == Tables.NotRun)
+  }
+
   test("table9Cell multiplies per-sample total cost by the comparable ratio") {
     val c = Tables.PerSampleCost(vertex = 100.0, edge = 900.0)
     assert(Tables.table9Cell(c, 4.0) == 4000.0)
@@ -76,8 +111,8 @@ class TablesSpec extends AnyFunSuite {
 
   test("a sweep with trials below the 99% resolution still resolves cells") {
     // With 10 trials, 99% success requires all 10 — a constant curve works.
-    val cell = Tables.table5Cell(syntheticSweep(trials = 10), Alg.SnapshotAlg)
-    assert(cell.isDefined)
+    val cell = Tables.leastSample(syntheticSweep(trials = 10), Alg.SnapshotAlg)
+    assert(cell.isInstanceOf[Tables.LeastSample])
   }
 
   test("fmt renders integers with separators and small reals with precision") {
