@@ -1,9 +1,8 @@
 package repro.exp
 
-import java.util.SplittableRandom
 import org.apache.spark.sql.SparkSession
 import repro.analysis.{ComparableRatio, SeedSetStats}
-import repro.core.{Greedy, GreedyResult, Ris}
+import repro.core.GreedyResult
 import repro.graphs.LocalGraph
 import repro.spark.{Alg, RRSetJob, Trial, TrialRow, TrialRunner}
 import scala.concurrent.{Await, ExecutionContext, Future}
@@ -66,14 +65,11 @@ object Sweep {
     (0 to 62).map(1L << _).takeWhile(_ <= max).filter(_ >= min)
 
   /** The reproduction's stand-in for the paper's "Exact Greedy" limit
-    * object: one deterministic greedy run on a very large RR-set collection
-    * (`refTheta`). Returns the seed set, ids ascending.
+    * object: the seed set, ids ascending, of one RIS trial run with
+    * sample number `refTheta` on the PRNG seeded with `seed`.
     */
-  def referenceSeedSet(g: LocalGraph, k: Int, refTheta: Long, seed: Long): Seq[Int] = {
-    val est = new Ris(g, toInt("refTheta", refTheta))
-    val rng = new SplittableRandom(seed)
-    Greedy.run(g.n, k, est, rng).seeds.sorted.toSeq
-  }
+  def referenceSeedSet(g: LocalGraph, k: Int, refTheta: Long, seed: Long): Seq[Int] =
+    TrialRunner.run(g, Trial(Alg.RisAlg, toInt("refTheta", refTheta), k, seed, 0)).seed_set
 
   /** Runs the full sweep for seed size `k` on influence graph `g`, using
     * `oracle` for influence evaluation; it must be built on `g` (see
@@ -100,11 +96,10 @@ object Sweep {
         Alg.RisAlg -> powersOfTwo(cfg.risMax, cfg.risMin))
       s <- sampleNumbers
     } yield alg -> toInt(s"${alg.name} sample number", s)
-    val trials = for {
-      (alg, s) <- grid.toIndexedSeq
-      pointSeed = TrialRunner.mixSeed(cfg.baseSeed, (alg.name.hashCode.toLong << 32) ^ s)
-      t <- 0 until cfg.trials
-    } yield Trial(alg, s, k, pointSeed, t)
+    val trials = grid.toIndexedSeq.flatMap { case (alg, s) =>
+      TrialRunner.pointTrials(alg, s, k,
+        TrialRunner.mixSeed(cfg.baseSeed, (alg.name.hashCode.toLong << 32) ^ s), cfg.trials)
+    }
     val ref = Future(referenceSeedSet(g, k, refTheta, cfg.baseSeed + 777))(ExecutionContext.global)
     val allRows = TrialRunner.runTrials(spark, g, trials)
     val refSet = Await.result(ref, Duration.Inf)
@@ -121,9 +116,9 @@ object Sweep {
         entropy = SeedSetStats.entropyOfKeys(keys),
         influences = infs,
         meanInfluence = infs.sum / infs.size,
-        meanSampleSize = rows.map(_.sample_size.toDouble).sum / rows.size,
-        meanVertexCost = rows.map(_.vertex_cost.toDouble).sum / rows.size,
-        meanEdgeCost = rows.map(_.edge_cost.toDouble).sum / rows.size,
+        meanSampleSize = TrialRow.mean(rows)(_.sample_size),
+        meanVertexCost = TrialRow.mean(rows)(_.vertex_cost),
+        meanEdgeCost = TrialRow.mean(rows)(_.edge_cost),
       )
     }
     (Result(points, refKey, infByKey(refKey)), raw)

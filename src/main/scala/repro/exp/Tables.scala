@@ -2,9 +2,8 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.analysis.ComparableRatio
-import repro.core.GreedyResult
 import repro.graphs.{GraphFrames, LocalGraph, ProbModel}
-import repro.spark.{Alg, RRSetJob, TrialRunner}
+import repro.spark.{Alg, RRSetJob, TrialRow, TrialRunner}
 
 /** Every evaluation table of the paper (Tables 3–9): one function per table
   * that takes the plan rows it tabulates and returns typed rows in print
@@ -47,14 +46,13 @@ object Tables {
   // ---------------------------------------------------------------- Table 4
 
   /** Table 4 row: top-`top` single-vertex influence spreads on one
-    * (network, probability model), estimated with the shared oracle. A
-    * singleton's estimate grows with the number of RR sets holding it, so
-    * vertices are ranked by inverted-list length, ties to the lower id.
+    * (network, probability model), estimated with the shared oracle. The RR
+    * sets {v} covers are v's inverted list: vertices rank by list length,
+    * ties to the lower id, and Inf(v) is [[RRSetJob.spread]] of the length.
     */
   def table4Row(oracle: RRSetJob, top: Int = 3): Seq[Double] = {
-    val vs = topByCount(oracle.invertedIndex._1, top)
-    val inf = oracle.influenceOfSets(vs.map(Seq(_)))
-    vs.map(v => inf(GreedyResult.keyOf(Seq(v))))
+    val offsets = oracle.invertedIndex._1
+    topByCount(offsets, top).map(v => oracle.spread(offsets(v + 1) - offsets(v)))
   }
 
   /** The first `top` vertices (all of them when fewer) of the CSR index
@@ -235,8 +233,7 @@ object Tables {
   def table8Cell(spark: SparkSession, g: LocalGraph, alg: Alg, trials: Int): PerSampleCost = {
     val rows = TrialRunner.runCollect(spark, g, alg, sampleNumber = 1, k = 1,
                                       trials = trials, baseSeed = 88L)
-    PerSampleCost(rows.map(_.vertex_cost.toDouble).sum / rows.size,
-                  rows.map(_.edge_cost.toDouble).sum / rows.size)
+    PerSampleCost(TrialRow.mean(rows)(_.vertex_cost), TrialRow.mean(rows)(_.edge_cost))
   }
 
   /** One Table 8 row: the per-sample cost of one (network, alg, model). */

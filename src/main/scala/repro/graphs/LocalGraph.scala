@@ -32,12 +32,6 @@ final class LocalGraph(val n: Int, val outEdges: LiveEdges, val inEdges: LiveEdg
   /** Destination vertex of each out-edge, grouped by source. */
   def outDst: Array[Int] = outEdges.adj
 
-  /** CSR row offsets of the in-edges, length n+1. */
-  def inOffsets: Array[Int] = inEdges.offsets
-
-  /** Source vertex of each in-edge, grouped by destination. */
-  def inSrc: Array[Int] = inEdges.adj
-
   /** Whether `o` is this instance or has equal arrays in both directions. */
   def sameAs(o: LocalGraph): Boolean =
     (this eq o) || n == o.n && outEdges.sameAs(o.outEdges) && inEdges.sameAs(o.inEdges)
@@ -49,7 +43,7 @@ final class LocalGraph(val n: Int, val outEdges: LiveEdges, val inEdges: LiveEdg
   def outDeg(v: Int): Int = outOffsets(v + 1) - outOffsets(v)
 
   /** In-degree of vertex `v`. */
-  def inDeg(v: Int): Int = inOffsets(v + 1) - inOffsets(v)
+  def inDeg(v: Int): Int = inEdges.offsets(v + 1) - inEdges.offsets(v)
 
   /** Maximum out-degree (Δ⁺ in the paper's Table 3); 0 on the empty graph. */
   def maxOutDeg: Int = (0 until n).foldLeft(0)((a, v) => math.max(a, outDeg(v)))

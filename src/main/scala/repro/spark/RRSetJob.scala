@@ -38,6 +38,9 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
     RRCollection.invert(g.n, blocks, threads)(RRSetJob.block(g.inEdges, theta, seed))
   }
 
+  /** n · `covered` / θ, the influence of a seed set covering `covered` RR sets. */
+  def spread(covered: Long): Double = covered * g.n.toDouble / theta
+
   /** Estimated influence of each seed set, keyed by [[GreedyResult.keyOf]].
     * A vertex outside [0, n) fails with an `IllegalArgumentException`.
     */
@@ -74,7 +77,7 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
           }
         }
         keys(i) = GreedyResult.keyOf(all(i))
-        values(i) = covered * g.n.toDouble / theta
+        values(i) = spread(covered)
         i += 1
       }
     }

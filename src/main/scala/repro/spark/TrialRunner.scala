@@ -38,11 +38,10 @@ object Alg {
   val all: Seq[Alg] = Seq(OneshotAlg, SnapshotAlg, RisAlg)
 }
 
-/** One greedy run to schedule: trial `trial` of the grid point (`alg`,
-  * `sampleNumber`, `k`), whose PRNG seed is `mixSeed(pointSeed, trial)`.
+/** One greedy run: trial `trial` of the grid point (`alg`, `sampleNumber`,
+  * `k`), run on the PRNG seeded with `seed` (see [[TrialRunner.pointTrials]]).
   */
-final case class Trial(alg: Alg, sampleNumber: Int, k: Int, pointSeed: Long,
-                       trial: Int)
+final case class Trial(alg: Alg, sampleNumber: Int, k: Int, seed: Long, trial: Int)
 
 /** One completed greedy run (a "trial" in the paper's §4 methodology). */
 final case class TrialRow(
@@ -56,6 +55,11 @@ final case class TrialRow(
     edge_cost: Long,
     sample_size: Long,
 )
+
+object TrialRow {
+  /** The mean of `f` over `rows`, summed in row order. */
+  def mean(rows: Seq[TrialRow])(f: TrialRow => Long): Double = rows.map(f(_).toDouble).sum / rows.size
+}
 
 /** Distributed trial runner: the paper constructs empirical seed-set and
   * influence distributions from T independent algorithm runs; here any set
@@ -108,7 +112,7 @@ object TrialRunner {
       val bc = sc.broadcast(g)
       val done = try {
         sc.parallelize(slices.toSeq.map(_.map(trials)), slices.length)
-          .flatMap(_.iterator.map(runOne(bc.value, _)))
+          .flatMap(_.iterator.map(run(bc.value, _)))
           .collect()
       } finally bc.destroy()
       // `collect` keeps slice order and the order within each slice.
@@ -117,22 +121,28 @@ object TrialRunner {
       rows.toSeq
     }
 
-  private def runOne(g: LocalGraph, t: Trial): TrialRow = {
-    val rng = new SplittableRandom(mixSeed(t.pointSeed, t.trial.toLong))
-    val r = Greedy.run(g.n, t.k, t.alg.make(g, t.sampleNumber), rng)
+  /** The greedy run (paper Algorithm 3.1) of `t` on `g`, on its own PRNG. */
+  def run(g: LocalGraph, t: Trial): TrialRow = {
+    val r = Greedy.run(g.n, t.k, t.alg.make(g, t.sampleNumber), new SplittableRandom(t.seed))
     val set = r.seeds.sorted.toSeq
     TrialRow(t.trial, t.alg.name, t.sampleNumber.toLong, t.k, set, GreedyResult.keyOf(set),
              r.vertexCost, r.edgeCost, r.sampleSize)
+  }
+
+  /** The `trials` runs of the grid point (`alg`, `sampleNumber`, `k`):
+    * trial t runs on the PRNG seeded with `mixSeed(pointSeed, t)`.
+    */
+  def pointTrials(alg: Alg, sampleNumber: Int, k: Int, pointSeed: Long,
+                  trials: Int): IndexedSeq[Trial] = {
+    require(trials >= 1, s"trials=$trials must be >= 1")
+    (0 until trials).map(t => Trial(alg, sampleNumber, k, mixSeed(pointSeed, t.toLong), t))
   }
 
   /** Runs `trials` independent greedy runs of `alg` with the given sample
     * number and seed size, and returns one [[TrialRow]] per trial in trial
     * order: the single-grid-point case of [[runTrials]].
     */
-  def runCollect(spark: SparkSession, g: LocalGraph, alg: Alg,
-                 sampleNumber: Int, k: Int, trials: Int,
-                 baseSeed: Long): Seq[TrialRow] = {
-    require(trials >= 1, s"trials=$trials must be >= 1")
-    runTrials(spark, g, (0 until trials).map(Trial(alg, sampleNumber, k, baseSeed, _)))
-  }
+  def runCollect(spark: SparkSession, g: LocalGraph, alg: Alg, sampleNumber: Int, k: Int,
+                 trials: Int, baseSeed: Long): Seq[TrialRow] =
+    runTrials(spark, g, pointTrials(alg, sampleNumber, k, baseSeed, trials))
 }

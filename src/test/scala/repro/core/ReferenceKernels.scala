@@ -56,11 +56,11 @@ object ReferenceKernels {
     while (head < tail) {
       val v = scratch.queue(head); head += 1
       costs.vertex += 1
-      var e = g.inOffsets(v)
-      val end = g.inOffsets(v + 1)
+      var e = g.inEdges.offsets(v)
+      val end = g.inEdges.offsets(v + 1)
       while (e < end) {
         costs.edge += 1
-        val u = g.inSrc(e)
+        val u = g.inEdges.adj(e)
         val live = rng.nextDouble() < LocalGraph.prob(g.inEdges.threshold(e))
         if (live && scratch.mark(u) != scratch.stamp) {
           scratch.mark(u) = scratch.stamp

@@ -5,9 +5,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import scala.math.BigDecimal.RoundingMode
 
-/** The "measured" cells of EXPERIMENTS.md's Tables 3 to 7 and 9 and of its
-  * measured Karate grid of Table 8 against the `[tableN]` lines of
-  * `bench_output.txt` they transcribe. A cell matches when the artifact's
+/** The "measured" cells of EXPERIMENTS.md's Tables 3 to 7 and 9, of its
+  * measured Karate grid of Table 8 and of the BA_d Table 8 values its prose
+  * quotes against the `[tableN]` lines of `bench_output.txt` they
+  * transcribe. A cell matches when the artifact's
   * value, rounded half-up to the digits the cell shows, is the cell;
   * thousands separators and `–` for `-` are allowed, and the scaled
   * networks drop their `~`.
@@ -140,5 +141,25 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     assert(cells.size == 12 && cells.values.forall(_.size == 2))
     check(cells, artifact("table8").filter(_.head == "Karate")
       .map(f => s"${f(1)} ${f(2)}" -> f.drop(3)).toMap)
+  }
+
+  test("Table 8 BA_d values quoted in prose transcribe the BA_d [table8] lines") {
+    val prose = lines("EXPERIMENTS.md").dropWhile(!_.startsWith("BA_d (paper's own"))
+      .takeWhile(!_.startsWith("## ")).mkString(" ")
+    def quoted(pattern: String): Seq[String] = {
+      val m = pattern.r.findFirstMatchIn(prose)
+      assert(m.isDefined, s"EXPERIMENTS.md's Table 8 prose quotes no /$pattern/")
+      m.get.subgroups
+    }
+    val out = artifact("table8").filter(_.head == "BA_d").map(f => s"${f(1)} ${f(2)}" -> f.drop(3)).toMap
+    check(Map("Oneshot UC0.1" -> quoted("Oneshot UC0.1 ([\\d,.]+)/([\\d,.]+) vs paper"),
+              "Snapshot UC0.01" -> quoted("Snapshot UC0.01 edge ([\\d,.]+) vs paper"),
+              "RIS UC0.01" -> quoted("RIS UC0.01 ([\\d,.]+)/([\\d,.]+) vs paper")),
+          Map("Oneshot UC0.1" -> out("Oneshot UC0.1"),
+              "Snapshot UC0.01" -> Seq(out("Snapshot UC0.01")(1)),
+              "RIS UC0.01" -> out("RIS UC0.01")))
+    // Oneshot's UC0.1 edge cost over its UC0.01 edge cost.
+    val ratio = BigDecimal(out("Oneshot UC0.1")(1)) / BigDecimal(out("Oneshot UC0.01")(1))
+    assert(agrees(quoted("Oneshot edge cost explode \\((\\d+)× its UC0.01 cost").head, ratio.toString))
   }
 }

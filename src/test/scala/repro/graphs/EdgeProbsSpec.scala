@@ -16,8 +16,8 @@ class EdgeProbsSpec extends AnyFunSuite {
       (ig.outOffsets(u) until ig.outOffsets(u + 1)).forall(i =>
         ig.outEdges.threshold(i) == LocalGraph.threshold(p(u, ig.outDst(i))))
     } && (0 until ig.n).forall { v =>
-      (ig.inOffsets(v) until ig.inOffsets(v + 1)).forall(i =>
-        ig.inEdges.threshold(i) == LocalGraph.threshold(p(ig.inSrc(i), v)))
+      (ig.inEdges.offsets(v) until ig.inEdges.offsets(v + 1)).forall(i =>
+        ig.inEdges.threshold(i) == LocalGraph.threshold(p(ig.inEdges.adj(i), v)))
     }
 
   for ((name, g) <- graphs) {
@@ -37,7 +37,7 @@ class EdgeProbsSpec extends AnyFunSuite {
       val ig = ProbModel.assign(g, ProbModel.IWC)
       assert(stores(ig)((_, v) => 1.0 / g.inDeg(v)))
       (0 until ig.n).filter(ig.inDeg(_) > 0).foreach { v =>
-        val s = (ig.inOffsets(v) until ig.inOffsets(v + 1))
+        val s = (ig.inEdges.offsets(v) until ig.inEdges.offsets(v + 1))
           .map(i => LocalGraph.prob(ig.inEdges.threshold(i))).sum
         assert(math.abs(s - 1.0) < 1e-9, s"vertex $v")
       }

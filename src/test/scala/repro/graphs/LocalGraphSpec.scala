@@ -63,8 +63,8 @@ class LocalGraphSpec extends AnyFunSuite {
 
   test("in-adjacency contains the right sources and probabilities") {
     val g = diamond
-    val srcs = (g.inOffsets(3) until g.inOffsets(4))
-      .map(i => (g.inSrc(i), g.inEdges.threshold(i))).toSet
+    val srcs = (g.inEdges.offsets(3) until g.inEdges.offsets(4))
+      .map(i => (g.inEdges.adj(i), g.inEdges.threshold(i))).toSet
     assert(srcs == Set((1, threshold(1.0)), (2, threshold(0.1))))
   }
 
@@ -91,8 +91,8 @@ class LocalGraphSpec extends AnyFunSuite {
     }
     // Reverse copy must agree.
     (0 until g.n).foreach { v =>
-      (g.inOffsets(v) until g.inOffsets(v + 1)).foreach { i =>
-        assert(g.inEdges.threshold(i) == threshold(p(g.inSrc(i), v)))
+      (g.inEdges.offsets(v) until g.inEdges.offsets(v + 1)).foreach { i =>
+        assert(g.inEdges.threshold(i) == threshold(p(g.inEdges.adj(i), v)))
       }
     }
   }
@@ -101,7 +101,7 @@ class LocalGraphSpec extends AnyFunSuite {
     val g = diamond
     val w = g.withProbs((_, _) => 0.5)
     assert((w.outOffsets eq g.outOffsets) && (w.outDst eq g.outDst))
-    assert((w.inOffsets eq g.inOffsets) && (w.inSrc eq g.inSrc))
+    assert((w.inEdges.offsets eq g.inEdges.offsets) && (w.inEdges.adj eq g.inEdges.adj))
   }
 
   test("self-loops and parallel edges are preserved (multigraph semantics)") {
@@ -174,7 +174,7 @@ class LocalGraphSpec extends AnyFunSuite {
     val t = g.outEdges.threshold.clone()
     t(0) += 1
     assert(!g.sameAs(new LocalGraph(4, new LiveEdges(4, g.outOffsets, g.outDst, t), g.inEdges)))
-    assert(!g.sameAs(new LocalGraph(4, g.outEdges, new LiveEdges(4, g.inOffsets, g.inSrc, t))))
+    assert(!g.sameAs(new LocalGraph(4, g.outEdges, new LiveEdges(4, g.inEdges.offsets, g.inEdges.adj, t))))
   }
 
   private def intercepted(f: => Any): String = intercept[IllegalArgumentException](f).getMessage
@@ -222,9 +222,9 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.outOffsets.head == 0)
     assert(g.outOffsets.last == g.m)
     assert(g.outOffsets.sliding(2).forall(w => w(0) <= w(1)))
-    assert(g.inOffsets.head == 0)
-    assert(g.inOffsets.last == g.m)
-    assert(g.inOffsets.sliding(2).forall(w => w(0) <= w(1)))
+    assert(g.inEdges.offsets.head == 0)
+    assert(g.inEdges.offsets.last == g.m)
+    assert(g.inEdges.offsets.sliding(2).forall(w => w(0) <= w(1)))
   }
 
   test("sum of out-degrees equals sum of in-degrees equals m") {

@@ -88,4 +88,19 @@ class TrialRunnerSpec extends SparkSpec {
     assert(slices.map(_.toSeq).toSeq == Seq(Seq(4), Seq(1, 5), Seq(2, 3, 0)))
     assert(TrialRunner.pack(costs, 1).head.toSeq == Seq(4, 1, 2, 3, 5, 0))
   }
+
+  test("a trial's row does not depend on the order or packing of the job's trials") {
+    val trials = for {
+      alg <- Alg.all.toIndexedSeq
+      s <- Seq(1, 8)
+      t <- TrialRunner.pointTrials(alg, s, 2, pointSeed = 20L + s, trials = 6)
+    } yield t
+    def rowsOf(order: IndexedSeq[Trial]): Map[Trial, TrialRow] =
+      order.zip(TrialRunner.runTrials(spark, g, order)).toMap
+    val inOrder = rowsOf(trials)
+    assert(inOrder.size == trials.size)
+    trials.foreach(t => assert(inOrder(t) == TrialRunner.run(g, t), t))
+    assert(rowsOf(trials.reverse) == inOrder)
+    assert(rowsOf(new scala.util.Random(19).shuffle(trials)) == inOrder)
+  }
 }
