@@ -1,49 +1,10 @@
 package repro.analysis
 
-/** Comparable number/size ratios (paper §5.2.3).
-  *
-  * Fix an instance and two algorithms with mean-influence curves over a
-  * powers-of-two sample-number grid. `s₂` is *comparable* to `s₁` if it is
-  * the least sample number with mean₂(s₂) ≥ mean₁(s₁); the comparable
-  * *number* ratio is s₂/s₁ and the comparable *size* ratio is
-  * size₂(s₂)/size₁(s₁). Tables 6 and 7 report medians of these ratios over
-  * the baseline grid.
+/** The median that Tables 6, 7 and 9 take of comparable number/size ratios
+  * (paper §5.2.3). The ratios themselves are read off the sweep curves in
+  * `repro.exp.Tables`.
   */
 object ComparableRatio {
-
-  /** One grid point of an algorithm's sweep. */
-  final case class Point(sampleNumber: Long, meanInfluence: Double,
-                         meanSampleSize: Double)
-
-  /** Least sample number of `target` whose mean influence reaches `level`;
-    * None if the whole curve stays below it.
-    */
-  def comparableSampleNumber(target: Seq[Point], level: Double): Option[Long] =
-    target.sortBy(_.sampleNumber)
-      .collectFirst { case p if p.meanInfluence >= level => p.sampleNumber }
-
-  /** Per-baseline-point comparable number ratios of `target` to `base`.
-    * Baseline points the target never reaches are dropped (the paper's "-"
-    * cells).
-    */
-  def numberRatios(base: Seq[Point], target: Seq[Point]): Seq[Double] =
-    for {
-      b <- base
-      s2 <- comparableSampleNumber(target, b.meanInfluence)
-    } yield s2.toDouble / b.sampleNumber
-
-  /** Per-baseline-point comparable size ratios of `target` to `base`.
-    * Baseline points with zero sample size are dropped (size ratios are
-    * undefined against Oneshot, whose sample size is 0 — paper footnote 3).
-    */
-  def sizeRatios(base: Seq[Point], target: Seq[Point]): Seq[Double] = {
-    val byNumber = target.map(p => p.sampleNumber -> p).toMap
-    for {
-      b <- base if b.meanSampleSize > 0.0
-      s2 <- comparableSampleNumber(target, b.meanInfluence)
-      t = byNumber(s2) if t.meanSampleSize > 0.0
-    } yield t.meanSampleSize / b.meanSampleSize
-  }
 
   /** Median (lower-middle element for even sizes, as ratios are discrete
     * powers of two in the number case).

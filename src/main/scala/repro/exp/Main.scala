@@ -16,7 +16,7 @@ object Main {
       case Array(t @ ("3" | "4" | "5" | "6" | "7" | "8" | "9")) => t.toInt
       case _ => throw new IllegalArgumentException(Usage)
     }
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"table$table")
       .config("spark.ui.enabled", value = false)

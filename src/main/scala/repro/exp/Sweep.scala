@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.analysis.{ComparableRatio, SeedSetStats}
+import repro.analysis.SeedSetStats
 import repro.core.GreedyResult
 import repro.graphs.LocalGraph
 import repro.spark.{Alg, RRSetJob, Trial, TrialRow, TrialRunner}
@@ -36,8 +36,6 @@ object Sweep {
   ) {
     def curve(alg: Alg): Seq[Point] =
       points.filter(_.alg == alg.name).sortBy(_.sampleNumber)
-    def ratioCurve(alg: Alg): Seq[ComparableRatio.Point] =
-      curve(alg).map(p => ComparableRatio.Point(p.sampleNumber, p.meanInfluence, p.meanSampleSize))
   }
 
   /** Per-algorithm sample-number grids plus trial count. A grid maximum of

@@ -173,10 +173,22 @@ object Tables {
       (net.name, k, models.map(m => rows.find(r => r.network == net && r.model == m && r.k == k).map(cell)))
     }
 
+  /** The comparable pairs of `target` to Snapshot on `sweep` (paper
+    * §5.2.3): each Snapshot point b, sample number ascending, with the
+    * first `target` point whose mean influence reaches b's. A b that no
+    * point reaches is dropped (the paper's "-" cells).
+    */
+  private def comparable(sweep: Sweep.Result, target: Alg): Seq[(Sweep.Point, Sweep.Point)] = {
+    val curve = sweep.curve(target)
+    sweep.curve(Alg.SnapshotAlg).flatMap(b => curve.find(_.meanInfluence >= b.meanInfluence).map(b -> _))
+  }
+
+  /** Median comparable number ratio s₂/s₁ of comparable pairs. */
+  private def numberRatio(pairs: Seq[(Sweep.Point, Sweep.Point)]): Option[Double] =
+    ComparableRatio.medianOpt(pairs.map { case (b, t) => t.sampleNumber.toDouble / b.sampleNumber })
+
   /** Table 6 cell: median comparable number ratio of Oneshot to Snapshot. */
-  def table6Cell(sweep: Sweep.Result): Option[Double] =
-    ComparableRatio.medianOpt(ComparableRatio.numberRatios(
-      sweep.ratioCurve(Alg.SnapshotAlg), sweep.ratioCurve(Alg.OneshotAlg)))
+  def table6Cell(sweep: Sweep.Result): Option[Double] = numberRatio(comparable(sweep, Alg.OneshotAlg))
 
   /** One Table 6 row: the ratio per model, in `models` order. */
   final case class OneshotRatioRow(network: String, k: Int, ratios: Seq[Option[Double]])
@@ -194,13 +206,14 @@ object Tables {
       }
 
   /** Table 7 cells: median comparable (number, size) ratios of RIS to
-    * Snapshot.
+    * Snapshot. Snapshot points of sample size 0 have no size ratio; RIS
+    * sizes are at least 1, as every RR set holds its target.
     */
   def table7Cell(sweep: Sweep.Result): (Option[Double], Option[Double]) = {
-    val base = sweep.ratioCurve(Alg.SnapshotAlg)
-    val target = sweep.ratioCurve(Alg.RisAlg)
-    (ComparableRatio.medianOpt(ComparableRatio.numberRatios(base, target)),
-     ComparableRatio.medianOpt(ComparableRatio.sizeRatios(base, target)))
+    val pairs = comparable(sweep, Alg.RisAlg)
+    (numberRatio(pairs), ComparableRatio.medianOpt(pairs.collect {
+      case (b, t) if b.meanSampleSize > 0.0 => t.meanSampleSize / b.meanSampleSize
+    }))
   }
 
   /** One Table 7 row: number and size ratios per model, in `models` order. */
@@ -284,11 +297,7 @@ object Tables {
         row <- sweepRows.find(r => r.network == net && r.model == model && r.k == 1)
         if t8.models.contains(model)
         sweep = SweepStore.sweep(spark, row)
-        ratio <- alg match {
-          case Alg.SnapshotAlg => Some(1.0)
-          case Alg.OneshotAlg  => table6Cell(sweep)
-          case Alg.RisAlg      => table7Cell(sweep)._1
-        }
+        ratio <- if (alg == Alg.SnapshotAlg) Some(1.0) else numberRatio(comparable(sweep, alg))
       } yield table9Cell(SweepStore.perSampleCost(spark, net, model, alg, t8.trials), ratio)
     })).sortBy(r => (r.network, r.alg))
 

@@ -5,55 +5,6 @@ import repro.analysis.ComparableRatio._
 
 class ComparableRatioSpec extends AnyFunSuite {
 
-  private def curve(points: (Long, Double)*): Seq[Point] =
-    points.map { case (s, m) => Point(s, m, s.toDouble * 10) }
-
-  test("comparableSampleNumber picks the least qualifying grid point") {
-    val c = curve(1L -> 1.0, 2L -> 2.0, 4L -> 3.0, 8L -> 4.0)
-    assert(comparableSampleNumber(c, 2.5) == Some(4L))
-    assert(comparableSampleNumber(c, 1.0) == Some(1L))
-    assert(comparableSampleNumber(c, 4.0) == Some(8L))
-  }
-
-  test("comparableSampleNumber is None when the curve never reaches the level") {
-    val c = curve(1L -> 1.0, 2L -> 2.0)
-    assert(comparableSampleNumber(c, 2.5).isEmpty)
-  }
-
-  test("a twice-shifted curve has number ratio 2 everywhere") {
-    // target(s) reaches the same mean as base(s/2): ratio 2.
-    val base = curve(1L -> 1.0, 2L -> 2.0, 4L -> 3.0)
-    val target = curve(2L -> 1.0, 4L -> 2.0, 8L -> 3.0)
-    val ratios = numberRatios(base, target)
-    assert(ratios == Seq(2.0, 2.0, 2.0))
-    assert(median(ratios) == 2.0)
-  }
-
-  test("identical curves have number ratio 1") {
-    val base = curve(1L -> 1.0, 2L -> 2.0, 4L -> 3.0)
-    assert(numberRatios(base, base).forall(_ == 1.0))
-  }
-
-  test("unreachable baseline points are dropped, not zero-filled") {
-    val base = curve(1L -> 1.0, 2L -> 10.0)
-    val target = curve(1L -> 1.0, 2L -> 2.0)
-    assert(numberRatios(base, target) == Seq(1.0))
-  }
-
-  test("size ratios divide target size at s2 by base size at s1") {
-    // base: size 10·s; target: size s. Target needs 2× the samples.
-    val base = Seq(Point(1, 1.0, 10.0), Point(2, 2.0, 20.0))
-    val target = Seq(Point(1, 0.5, 1.0), Point(2, 1.0, 2.0), Point(4, 2.0, 4.0))
-    val ratios = sizeRatios(base, target)
-    assert(ratios == Seq(2.0 / 10.0, 4.0 / 20.0))
-  }
-
-  test("zero-size baseline points are excluded from size ratios") {
-    val base = Seq(Point(1, 1.0, 0.0), Point(2, 2.0, 20.0))
-    val target = Seq(Point(1, 1.0, 5.0), Point(2, 2.0, 10.0))
-    assert(sizeRatios(base, target) == Seq(10.0 / 20.0))
-  }
-
   test("median of an odd-size list is the middle element") {
     assert(median(Seq(3.0, 1.0, 2.0)) == 2.0)
   }
@@ -70,11 +21,5 @@ class ComparableRatioSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](median(Seq.empty))
     assert(medianOpt(Seq.empty).isEmpty)
     assert(medianOpt(Seq(2.0)) == Some(2.0))
-  }
-
-  test("non-monotone target curve: least qualifying point still first") {
-    val target = curve(1L -> 3.0, 2L -> 1.0, 4L -> 5.0)
-    assert(comparableSampleNumber(target, 2.0) == Some(1L))
-    assert(comparableSampleNumber(target, 4.0) == Some(4L))
   }
 }

@@ -6,8 +6,8 @@ import scala.jdk.CollectionConverters._
 import scala.math.BigDecimal.RoundingMode
 
 /** The "measured" cells of EXPERIMENTS.md's Tables 3 to 7 and 9, of its
-  * measured Karate grid of Table 8 and of the BA_d Table 8 values its prose
-  * quotes against the `[tableN]` lines of `bench_output.txt` they
+  * measured Karate grid of Table 8 and of the Table 6, 7 and 8 values its
+  * prose quotes against the `[tableN]` lines of `bench_output.txt` they
   * transcribe. A cell matches when the artifact's
   * value, rounded half-up to the digits the cell shows, is the cell;
   * thousands separators and `–` for `-` are allowed, and the scaled
@@ -47,6 +47,24 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     rows.tail.flatMap { r =>
       header.indices.tail.map(c => s"${r.head} ${header(c)}" -> r(c).split(" / ").toSeq)
     }.toMap
+  }
+
+  /** The lines of EXPERIMENTS.md after the first line starting with
+    * `heading`, up to the next `## ` heading.
+    */
+  private def section(heading: String): Seq[String] =
+    lines("EXPERIMENTS.md").dropWhile(!_.startsWith(heading)).drop(1).takeWhile(!_.startsWith("## "))
+
+  /** [[section]] joined by spaces. */
+  private def prose(heading: String): String = section(heading).mkString(" ")
+
+  /** The value of a spelled-out count such as "Sixteen". */
+  private def count(word: String): Int = {
+    val n = Seq("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine",
+                "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen",
+                "seventeen", "eighteen", "nineteen", "twenty").indexOf(word.toLowerCase)
+    assert(n >= 0, s"$word is not a spelled-out count")
+    n
   }
 
   /** The `[tag]` rows of bench_output.txt after the header, as fields. */
@@ -128,6 +146,30 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
                     .filter(l => sizes.contains(l._1)).toMap)
   }
 
+  test("Table 6 and 7 prose names exactly the sub-1 Table 6 cells and the Table 7 number ratios ≤ 1") {
+    val models = Seq("UC0.1", "UC0.01", "IWC", "OWC")
+    /** "<network> <model> k=<k>" -> value of the `[tag]` cells whose value passes `keep`. */
+    def cellsWhere(tag: String, first: Int)(keep: BigDecimal => Boolean): Map[String, String] =
+      artifact(tag).flatMap { f =>
+        models.indices.map(i => s"${f(0).stripSuffix("~")} ${models(i)} k=${f(1)}" -> f(first + i))
+      }.filter { case (_, v) => v != "-" && keep(BigDecimal(v.replace(",", ""))) }.toMap
+
+    val t6 = "The (\\w+) sub-1 cells \\(([^)]*), all at k=(\\d+)\\)".r
+      .findFirstMatchIn(prose("## Table 6 "))
+    assert(t6.isDefined, "EXPERIMENTS.md's Table 6 prose names no sub-1 cells")
+    val Seq(number, names, k) = t6.get.subgroups
+    val named = names.split(", | and ").map(c => s"$c k=$k").toSeq
+    assert(count(number) == named.size)
+    assert(named.toSet == cellsWhere("table6", 2)(_ < 1).keySet)
+
+    val sentence = prose("## Table 7 ").split("(?<=\\.) ").find(_.contains("artifacts"))
+    assert(sentence.isDefined, "EXPERIMENTS.md's Table 7 prose names no artifacts")
+    val quoted = "([\\w-]+) (UC0\\.1|UC0\\.01|IWC|OWC) k=(\\d+) \\(([\\d.,]+)\\)".r
+      .findAllMatchIn(sentence.get).map(m => s"${m.group(1)} ${m.group(2)} k=${m.group(3)}" -> Seq(m.group(4)))
+      .toMap
+    check(quoted, cellsWhere("table7", 3)(_ <= 1).map { case (cell, v) => cell -> Seq(v) })
+  }
+
   test("Table 9 measured cells transcribe the [table9] lines, paper values aside") {
     val cells = rows(9)
       .map(cols => s"${cols(0)} ${cols(1)}" -> cols.drop(2).map(_.split(" \\(")(0))).toMap
@@ -161,5 +203,47 @@ class ExperimentsTranscriptionSpec extends AnyFunSuite {
     // Oneshot's UC0.1 edge cost over its UC0.01 edge cost.
     val ratio = BigDecimal(out("Oneshot UC0.1")(1)) / BigDecimal(out("Oneshot UC0.01")(1))
     assert(agrees(quoted("Oneshot edge cost explode \\((\\d+)× its UC0.01 cost").head, ratio.toString))
+  }
+
+  test("Table 8 Karate values listed in prose transcribe the grids and are exactly those >5% off") {
+    val paper = grid("Paper (Karate row").map { case (cell, vs) => cell.stripSuffix(" v/e") -> vs }
+    val measured = artifact("table8").filter(_.head == "Karate").map(f => s"${f(1)} ${f(2)}" -> f.drop(3)).toMap
+    val kinds = Seq("vertex", "edge")
+    assert(paper.keySet == measured.keySet && paper.size == 12)
+    val text = prose("## Table 8 ")
+    val summary = "(\\w+) of the (\\d+) Karate values".r.findFirstMatchIn(text)
+    val offCount = "(\\w+) values are off by more than 5%".r.findFirstMatchIn(text)
+    assert(summary.isDefined && offCount.isDefined, "EXPERIMENTS.md's Table 8 prose counts no Karate values")
+
+    val bullet = "- (\\w+) (\\S+?)(?: (vertex|edge))?: (.*)".r
+    val part = "(?:(vertex|edge) )?([\\d.]+) vs ([\\d.]+) \\(([−+])([\\d.]+)%\\)".r
+    val listed = section("## Table 8 ").dropWhile(!_.startsWith("- ")).takeWhile(_.startsWith("- "))
+      .flatMap { line =>
+        val bullet(alg, model, kind, rest) = line.stripSuffix(";").stripSuffix(".")
+        rest.split(", ").toSeq.map { p =>
+          val part(partKind, shown, paperShown, sign, pct) = p
+          assert((kind == null) != (partKind == null), line)
+          (s"$alg $model", Option(kind).getOrElse(partKind), shown, paperShown, sign, pct)
+        }
+      }
+    assert(listed.nonEmpty, "EXPERIMENTS.md's Table 8 prose lists no Karate values")
+    for ((cell, kind, shown, paperShown, sign, pct) <- listed) {
+      val i = kinds.indexOf(kind)
+      val what = s"$cell $kind"
+      assert(agrees(shown, measured(cell)(i)), s"$what: EXPERIMENTS.md shows $shown, bench_output.txt has ${measured(cell)(i)}")
+      assert(paperShown == paper(cell)(i), s"$what: prose quotes paper $paperShown, the paper grid has ${paper(cell)(i)}")
+      val off = (BigDecimal(measured(cell)(i)) / BigDecimal(paper(cell)(i)) - 1) * 100
+      assert(agrees(s"${if (sign == "−") "-" else ""}$pct", off.bigDecimal.toPlainString),
+             s"$what: prose says $sign$pct%, measured/paper - 1 is $off%")
+    }
+    val offBy5 = for {
+      (cell, vs) <- paper.toSeq
+      i <- kinds.indices
+      if (BigDecimal(measured(cell)(i)) / BigDecimal(vs(i)) - 1).abs > BigDecimal("0.05")
+    } yield s"$cell ${kinds(i)}"
+    assert(listed.map(l => s"${l._1} ${l._2}").sorted == offBy5.sorted)
+    val Seq(within, total) = summary.get.subgroups
+    assert(total.toInt == 2 * paper.size && count(within) == total.toInt - listed.size)
+    assert(count(offCount.get.group(1)) == listed.size)
   }
 }
