@@ -50,11 +50,13 @@ final case class TrialRow(
     sample_number: Long,
     k: Int,
     seed_set: Seq[Int],
-    seed_key: String,
     vertex_cost: Long,
     edge_cost: Long,
     sample_size: Long,
-)
+) {
+  /** The seed set's key, [[GreedyResult.keyOf]]; derived, not shipped. */
+  def seed_key: String = GreedyResult.keyOf(seed_set)
+}
 
 object TrialRow {
   /** The mean of `f` over `rows`, summed in row order. */
@@ -124,8 +126,7 @@ object TrialRunner {
   /** The greedy run (paper Algorithm 3.1) of `t` on `g`, on its own PRNG. */
   def run(g: LocalGraph, t: Trial): TrialRow = {
     val r = Greedy.run(g.n, t.k, t.alg.make(g, t.sampleNumber), new SplittableRandom(t.seed))
-    val set = r.seeds.sorted.toSeq
-    TrialRow(t.trial, t.alg.name, t.sampleNumber.toLong, t.k, set, GreedyResult.keyOf(set),
+    TrialRow(t.trial, t.alg.name, t.sampleNumber.toLong, t.k, r.seeds.sorted.toSeq,
              r.vertexCost, r.edgeCost, r.sampleSize)
   }
 

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import repro.graphs.LocalGraph
+import repro.graphs.{LiveEdges, LocalGraph}
 
 /** The sampling kernels written directly against `SplittableRandom`: one
   * `nextDouble() < p` per examined edge, p being the edge's effective
@@ -11,8 +11,10 @@ import repro.graphs.LocalGraph
   */
 object ReferenceKernels {
 
-  /** [[Ic.simulate]]. */
-  def simulate(g: LocalGraph, seeds: Array[Int], seedCount: Int,
+  /** [[Ic.simulate]]: over `g.outEdges` the forward cascade, over
+    * `g.inEdges` from one target the RR set of that target.
+    */
+  def simulate(edges: LiveEdges, seeds: Array[Int], seedCount: Int,
                rng: SplittableRandom, scratch: SimScratch, costs: Costs): Int = {
     scratch.reset()
     var head = 0
@@ -29,12 +31,12 @@ object ReferenceKernels {
     while (head < tail) {
       val u = scratch.queue(head); head += 1
       costs.vertex += 1
-      var e = g.outOffsets(u)
-      val end = g.outOffsets(u + 1)
+      var e = edges.offsets(u)
+      val end = edges.offsets(u + 1)
       while (e < end) {
         costs.edge += 1
-        val w = g.outDst(e)
-        val live = rng.nextDouble() < LocalGraph.prob(g.outEdges.threshold(e))
+        val w = edges.adj(e)
+        val live = rng.nextDouble() < LocalGraph.prob(edges.threshold(e))
         if (live && scratch.mark(w) != scratch.stamp) {
           scratch.mark(w) = scratch.stamp
           scratch.queue(tail) = w; tail += 1
@@ -44,38 +46,6 @@ object ReferenceKernels {
     }
     tail
   }
-
-  /** [[RRSets.generateFor]]. */
-  def generateFor(g: LocalGraph, z: Int, rng: SplittableRandom,
-                  scratch: SimScratch, costs: Costs): Array[Int] = {
-    scratch.reset()
-    scratch.mark(z) = scratch.stamp
-    scratch.queue(0) = z
-    var head = 0
-    var tail = 1
-    while (head < tail) {
-      val v = scratch.queue(head); head += 1
-      costs.vertex += 1
-      var e = g.inEdges.offsets(v)
-      val end = g.inEdges.offsets(v + 1)
-      while (e < end) {
-        costs.edge += 1
-        val u = g.inEdges.adj(e)
-        val live = rng.nextDouble() < LocalGraph.prob(g.inEdges.threshold(e))
-        if (live && scratch.mark(u) != scratch.stamp) {
-          scratch.mark(u) = scratch.stamp
-          scratch.queue(tail) = u; tail += 1
-        }
-        e += 1
-      }
-    }
-    java.util.Arrays.copyOf(scratch.queue, tail)
-  }
-
-  /** [[RRSets.generate]]. */
-  def generate(g: LocalGraph, rng: SplittableRandom, scratch: SimScratch,
-               costs: Costs): Array[Int] =
-    generateFor(g, rng.nextInt(g.n), rng, scratch, costs)
 
   /** [[Snapshot]]. */
   final class Snapshot(g: LocalGraph, tau: Int) extends InfluenceEstimator {

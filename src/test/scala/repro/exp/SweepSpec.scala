@@ -1,7 +1,5 @@
 package repro.exp
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.analysis.SeedSetStats
 import repro.graphs.{GraphGen, ProbModel}
@@ -191,32 +189,5 @@ class SweepSpec extends SparkSpec {
     val (r, jobs) = jobsStartedBy(Sweep.run(spark, gIwc, oracleIwc, 2, smallCfg))
     assert(jobs == 1)
     assert(r.points.size == 3 + 4 + 5)
-  }
-
-  /** `f`'s result and the number of Spark jobs it started. Marker jobs
-    * before and after flush the listener queue, whose events arrive in order.
-    */
-  private def jobsStartedBy[A](f: => A): (A, Int) = {
-    val sc = spark.sparkContext
-    val groups = new ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
-    }
-    def marker(id: String): Unit = {
-      sc.setJobGroup(id, "marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!groups.contains(id) && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(groups.contains(id), s"marker job $id not seen")
-    }
-    sc.addSparkListener(listener)
-    try {
-      marker("sweep-before")
-      groups.clear()
-      val a = f
-      marker("sweep-after")
-      (a, groups.toArray.count(_ != "sweep-after"))
-    } finally sc.removeSparkListener(listener)
   }
 }

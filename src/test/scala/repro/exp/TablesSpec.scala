@@ -163,26 +163,6 @@ class TablesSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
-  test("table5Cell finds the least sample number at 0.95 of the reference") {
-    val sweep = syntheticSweep()
-    // Snapshot mean log(2s) >= 0.95·log(256) ⇔ 2s >= 256^0.95 ⇒ s = 128.
-    val cell = Tables.leastSample(sweep, Alg.SnapshotAlg)
-    assert(cell.isInstanceOf[Tables.LeastSample])
-    assert(cell.asInstanceOf[Tables.LeastSample].log2SampleNumber == 7)
-  }
-
-  test("table5Cell is None when the curve never qualifies") {
-    val sweep = syntheticSweep()
-    // Oneshot's top mean log(64) vs threshold 0.95·log(256): log(64)=4.16 < 5.27
-    assert(Tables.leastSample(sweep, Alg.OneshotAlg) == Tables.AboveMax)
-  }
-
-  test("table5Cell reports the entropy at the qualifying point") {
-    val sweep = syntheticSweep()
-    val cell = Tables.leastSample(sweep, Alg.SnapshotAlg).asInstanceOf[Tables.LeastSample]
-    assert(cell.entropy == 1.0)
-  }
-
   test("a Table 5 cell of an algorithm without grid points is not run, not >max") {
     val sweep = syntheticSweep()
     val noOneshot = sweep.copy(points = sweep.points.filterNot(_.alg == "Oneshot"))

@@ -1,9 +1,8 @@
 package repro.graphs
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
-import repro.exp.{Instances, NetworkSpec, Tables}
+import repro.exp.{NetworkSpec, Tables}
 
 class GraphFramesSpec extends SparkSpec {
 
@@ -191,25 +190,5 @@ class GraphFramesSpec extends SparkSpec {
       yield d(u)(v).toLong
     val dist = if (connected.isEmpty) Double.NaN else connected.sum.toDouble / connected.size
     (adj, cc, dist)
-  }
-
-  test("Table 3 of all eight networks starts no Spark job") {
-    val sc = spark.sparkContext
-    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
-    }
-    sc.addSparkListener(listener)
-    try {
-      Tables.table3(spark, Instances.all)
-      // Listener events arrive in order, so once the marker job's start is
-      // seen, every job Table 3 started has been seen too.
-      sc.setJobGroup("table3-marker", "marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (!groups.contains("table3-marker") && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(groups.toArray.toSeq == Seq("table3-marker"))
-    } finally sc.removeSparkListener(listener)
   }
 }

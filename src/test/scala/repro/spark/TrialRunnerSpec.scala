@@ -7,7 +7,7 @@ class TrialRunnerSpec extends SparkSpec {
 
   private lazy val g = ProbModel.assign(GraphGen.karate(), ProbModel.uc01)
 
-  test("produces one row per trial with the expected schema") {
+  test("produces one row per trial") {
     val rows = TrialRunner.runCollect(spark, g, Alg.SnapshotAlg, sampleNumber = 4,
                                       k = 2, trials = 12, baseSeed = 1)
     assert(rows.size == 12)
