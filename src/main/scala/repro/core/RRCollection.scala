@@ -78,9 +78,9 @@ object RRCollection {
 
   /** Inverted index vertex → set ids of the sets of `part(b)` for b in
     * `0 until parts`, the ids of each part following those of the parts
-    * before it, in CSR form `(vertexOffsets, setIds)`; vertex v is in
-    * `vertexOffsets(v + 1) - vertexOffsets(v)` sets. One counting sort over
-    * the parts, without concatenating them, on up to `threads` workers of
+    * before it, in pages of [[PageSize]] ids (see [[Index]]); a part whose
+    * ids straddle a page boundary is refused. One counting sort over the
+    * parts, without concatenating them, on up to `threads` workers of
     * [[run]]: each produces whole parts and [[count counts]] each in the
     * same pass, the caller [[place places]] the counts, then each worker
     * [[scatter scatters]] a contiguous range of parts, so that within a
@@ -88,21 +88,57 @@ object RRCollection {
     * lines. Every vertex's ids ascend, and the index does not depend on
     * `threads`.
     */
-  def invert(n: Int, parts: Int, threads: Int)(part: Int => RRCollection): (Array[Int], Array[Int]) = {
+  def invert(n: Int, parts: Int, threads: Int)(part: Int => RRCollection): Index = {
     val ps = new Array[RRCollection](parts)
     val counts = new Array[Array[Int]](parts)
     run(parts, threads) { b => ps(b) = part(b); counts(b) = count(ps(b)) }
-    val (vertexOffsets, setIds) = place(n, ps, counts)
-    val firstIds = ps.scanLeft(0)(_ + _.size)
+    val firstIds = ps.scanLeft(0L)(_ + _.size)
+    val index = place(n, ps, firstIds, counts)
     val workers = math.min(parts, threads)
     run(workers, workers) { w =>
       var b = (w.toLong * parts / workers).toInt
       while (b < (w + 1L) * parts / workers) {
-        scatter(ps(b), firstIds(b), counts(b), setIds)
+        scatter(ps(b), firstIds(b).toInt, counts(b), index.ids)
         b += 1
       }
     }
-    (vertexOffsets, setIds)
+    index
+  }
+
+  /** Set ids per page of an [[Index]], which stores each id as its low 16
+    * bits: 16 of the oracle's blocks of 4,096 ids.
+    */
+  val PageSize: Int = 1 << 16
+
+  /** Inverted index vertex → set ids from [[invert]]. Set ids are cut into
+    * `pages` pages of [[PageSize]], and `ids` stores each as its low 16
+    * bits: vertex v's ids in page p are `p·PageSize + ids(j)` for j in
+    * `offsets(v·pages + p) until offsets(v·pages + p + 1)`. Vertex v's ids
+    * ascend, page by page, over `offsets(v·pages) until offsets((v + 1)·pages)`.
+    * That is 2 bytes per stored id plus 4(n·pages + 1) bytes of offsets.
+    */
+  final class Index(val n: Int, val pages: Int, val offsets: Array[Int], val ids: Array[Char]) {
+
+    /** Number of indexed sets that contain vertex v. */
+    def count(v: Int): Int = offsets((v + 1) * pages) - offsets(v * pages)
+
+    /** Vertex offsets, length n + 1: vertex v's ids are stored at
+      * `vertexOffsets(v) until vertexOffsets(v + 1)`. With one page they
+      * are `offsets` itself.
+      */
+    def vertexOffsets: Array[Int] =
+      if (pages == 1) offsets else Array.tabulate(n + 1)(v => offsets(v * pages))
+  }
+
+  /** Length n·`pages` + 1 of an index's offsets; fails with an
+    * `IllegalArgumentException` naming n and `pages`, before anything is
+    * allocated, when that exceeds [[MaxLength]].
+    */
+  private[core] def offsetsLength(n: Int, pages: Int): Int = {
+    val length = n.toLong * pages + 1
+    require(length <= MaxLength,
+            s"index offsets n·pages + 1 = $length exceed $MaxLength (n=$n, pages=$pages)")
+    length.toInt
   }
 
   /** Per-vertex member counts of `part`: entry v is the number of its sets
@@ -116,48 +152,62 @@ object RRCollection {
     counts
   }
 
-  /** The index layout of `parts` in order, from each part's [[count]]: the
-    * vertex offsets and an unfilled `setIds` array. Turns each part's counts
-    * in place into its write cursors for [[scatter]]: entry v becomes
-    * `vertexOffsets(v)` plus the counts of v in the earlier parts.
+  /** The index layout of `parts` in order, part b's set ids starting at
+    * `firstIds(b)`, from each part's [[count]]: the (vertex, page) offsets
+    * and an unfilled `ids` array. Turns each non-empty part's counts in
+    * place into its write cursors for [[scatter]]: entry v becomes
+    * `offsets(v·pages + p)`, p the part's page, plus the counts of v in the
+    * earlier parts.
     */
-  private def place(n: Int, parts: Array[RRCollection],
-                    counts: Array[Array[Int]]): (Array[Int], Array[Int]) = {
-    val sets = parts.map(_.size.toLong).sum
+  private def place(n: Int, parts: Array[RRCollection], firstIds: Array[Long],
+                    counts: Array[Array[Int]]): Index = {
+    val sets = firstIds.last
     val stored = parts.map(_.storedVertices).sum
     require(sets <= MaxLength, s"RR-set count $sets exceeds $MaxLength")
     require(stored <= MaxLength, s"stored RR-set vertices $stored exceed $MaxLength")
     parts.foreach(p => require(p.n == n, s"part on ${p.n} vertices, expected $n"))
-    val vertexOffsets = new Array[Int](n + 1)
-    counts.foreach { c =>
+    val placed = parts.indices.filter(parts(_).size > 0)
+    placed.foreach { b =>
+      val (first, last) = (firstIds(b), firstIds(b + 1) - 1)
+      require(first / PageSize == last / PageSize,
+              s"part $b holds set ids $first to $last across a $PageSize-id page boundary")
+    }
+    val pages = math.max(1, ((sets + PageSize - 1) / PageSize).toInt)
+    val offsets = new Array[Int](offsetsLength(n, pages))
+    placed.foreach { b =>
+      val c = counts(b)
+      val at = (firstIds(b) / PageSize).toInt + 1
       var v = 0
-      while (v < n) { vertexOffsets(v + 1) += c(v); v += 1 }
+      while (v < n) { offsets(v * pages + at) += c(v); v += 1 }
     }
-    var v = 0
-    while (v < n) { vertexOffsets(v + 1) += vertexOffsets(v); v += 1 }
-    val pos = java.util.Arrays.copyOf(vertexOffsets, n)
-    counts.foreach { c =>
-      v = 0
-      while (v < n) { val k = c(v); c(v) = pos(v); pos(v) += k; v += 1 }
+    var e = 1
+    while (e < offsets.length) { offsets(e) += offsets(e - 1); e += 1 }
+    val pos = java.util.Arrays.copyOf(offsets, offsets.length - 1)
+    placed.foreach { b =>
+      val c = counts(b)
+      val at = (firstIds(b) / PageSize).toInt
+      var v = 0
+      while (v < n) { val k = c(v); c(v) = pos(v * pages + at); pos(v * pages + at) += k; v += 1 }
     }
-    (vertexOffsets, new Array[Int](stored.toInt))
+    new Index(n, pages, offsets, new Array[Char](stored.toInt))
   }
 
-  /** Writes the ids of `part`'s sets, numbered from `firstId`, into
-    * `setIds` at its `cursors` from [[place]], advancing them. Parts write
-    * disjoint ranges of `setIds`, so they may be scattered concurrently.
+  /** Writes the low 16 bits of the ids of `part`'s sets, numbered from
+    * `firstId`, into `ids` at its `cursors` from [[place]], advancing them.
+    * Parts write disjoint ranges of `ids`, so they may be scattered
+    * concurrently.
     */
   private def scatter(part: RRCollection, firstId: Int, cursors: Array[Int],
-                      setIds: Array[Int]): Unit = {
+                      ids: Array[Char]): Unit = {
     val offsets = part.offsets
     val members = part.members
     var i = 0
     while (i < part.size) {
-      val id = firstId + i
+      val low = (firstId + i).toChar
       var j = offsets(i)
       while (j < offsets(i + 1)) {
         val u = members(j)
-        setIds(cursors(u)) = id
+        ids(cursors(u)) = low
         cursors(u) += 1
         j += 1
       }

@@ -11,7 +11,8 @@ import repro.graphs.LocalGraph
   * removes ("covers") every RR set containing the new seed, which is the
   * paper's Algorithm 3.4 line 8 implemented with coverage counts and an
   * inverted vertex→RR-set index, the fast scheme of [7, Theorem 3.1]. The
-  * sets and the index are one [[RRCollection]].
+  * sets are drawn as ⌈θ/65,536⌉ consecutive [[RRCollection]]s on one
+  * stream, one per page of the one [[RRCollection.invert]] index.
   *
   * Traversal cost is incurred only by RR-set generation (§3.5.2): vertex
   * cost Σ|R|, edge cost Σ w(R). Estimate/Update are O(1)/O(coverage)
@@ -25,36 +26,45 @@ final class Ris(g: LocalGraph, theta: Int) extends InfluenceEstimator {
   require(theta >= 1, s"theta=$theta must be >= 1")
 
   private val costsAcc = new Costs
-  private var rr = new RRCollection(g.n, Array(0), Array.emptyIntArray)
-  private var index: (Array[Int], Array[Int]) = _             // v -> RR ids, CSR; set by build
+  private var pages = Array.empty[RRCollection]                // page p holds ids p·PageSize + i
+  private var index: RRCollection.Index = _                    // v -> RR ids; set by build
   private val covered = new Array[Boolean](theta)
-  private val cnt = new Array[Int](g.n)                       // uncovered RR sets containing v
+  private val cnt = new Array[Int](g.n)                        // uncovered RR sets containing v
 
   override def build(rng: SplittableRandom): Unit = {
-    rr = RRCollection.generate(g.inEdges, theta, rng, costsAcc)
-    index = RRCollection.invert(g.n, 1, 1)(_ => rr)
-    val offsets = index._1
+    val size = RRCollection.PageSize
+    pages = Array.tabulate(((theta.toLong + size - 1) / size).toInt) { p =>
+      RRCollection.generate(g.inEdges, math.min(size, theta - p * size), rng, costsAcc)
+    }
+    index = RRCollection.invert(g.n, pages.length, 1)(pages(_))
     var v = 0
-    while (v < g.n) { cnt(v) = offsets(v + 1) - offsets(v); v += 1 }
+    while (v < g.n) { cnt(v) = index.count(v); v += 1 }
   }
 
   override def estimate(v: Int, rng: SplittableRandom): Double =
     g.n.toDouble * cnt(v) / theta
 
   override def update(v: Int, rng: SplittableRandom): Unit = {
-    val (offsets, ids) = index
-    var j = offsets(v)
-    while (j < offsets(v + 1)) {
-      val id = ids(j)
-      if (!covered(id)) {
-        covered(id) = true
-        var t = rr.offsets(id)
-        while (t < rr.offsets(id + 1)) { cnt(rr.members(t)) -= 1; t += 1 }
+    val offsets = index.offsets
+    val ids = index.ids
+    var p = 0
+    while (p < pages.length) {
+      val rr = pages(p)
+      val base = p * RRCollection.PageSize
+      var j = offsets(v * pages.length + p)
+      while (j < offsets(v * pages.length + p + 1)) {
+        val i = ids(j)
+        if (!covered(base + i)) {
+          covered(base + i) = true
+          var t = rr.offsets(i)
+          while (t < rr.offsets(i + 1)) { cnt(rr.members(t)) -= 1; t += 1 }
+        }
+        j += 1
       }
-      j += 1
+      p += 1
     }
   }
 
   override def costs: Costs = costsAcc
-  override def sampleSize: Long = rr.storedVertices
+  override def sampleSize: Long = pages.map(_.storedVertices).sum
 }

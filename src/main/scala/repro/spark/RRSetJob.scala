@@ -11,13 +11,14 @@ import repro.graphs.{LiveEdges, LocalGraph}
   * identical seed sets always get identical estimates.
   *
   * RR ids are cut into blocks of [[RRSetJob.BlockSize]]; block b draws its
-  * sets from the PRNG seeded with `TrialRunner.mixSeed(seed, b)`. The
-  * blocks are the parts of one [[RRCollection.invert]], drawn on the
-  * driver by a few threads that read the graph's reverse adjacency and
-  * live-edge thresholds (`LocalGraph.inEdges`) in place; no Spark job runs.
-  * The index is the same on any thread count, so the oracle is a function
-  * of (graph, θ, seed) alone, not of the thread or core count. Only the
-  * inverted index is kept: a seed set S intersects an RR set with
+  * sets from the PRNG seeded with `TrialRunner.mixSeed(seed, b)`, and 16
+  * blocks fill one page of the index. The blocks are the parts of one
+  * [[RRCollection.invert]], drawn on the driver by a few threads that read
+  * the graph's reverse adjacency and live-edge thresholds
+  * (`LocalGraph.inEdges`) in place; no Spark job runs. The index is the
+  * same on any thread count, so the oracle is a function of (graph, θ,
+  * seed) alone, not of the thread or core count. Only the inverted index
+  * is kept, 2 bytes per stored id: a seed set S intersects an RR set with
   * probability Inf(S)/n, so Inf(S) ≈ n · |RR sets covered by S| / θ.
   *
   * @param spark its default parallelism caps the number of threads
@@ -30,13 +31,20 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
   private val threads = math.min(spark.sparkContext.defaultParallelism,
                                  Runtime.getRuntime.availableProcessors)
 
-  /** Inverted index vertex → RR-set ids in CSR form `(offsets, ids)`; the
-    * ids of each vertex ascend.
+  /** Inverted index vertex → RR-set ids, in pages of
+    * [[RRCollection.PageSize]] ids (16 blocks); the ids of each vertex ascend.
     */
-  val invertedIndex: (Array[Int], Array[Int]) = {
+  val index: RRCollection.Index = {
     val blocks = ((theta + RRSetJob.BlockSize - 1) / RRSetJob.BlockSize).toInt
     RRCollection.invert(g.n, blocks, threads)(RRSetJob.block(g.inEdges, theta, seed))
   }
+
+  /** The index in CSR form `(vertexOffsets, ids)`: vertex v is in
+    * `vertexOffsets(v + 1) - vertexOffsets(v)` RR sets, and `ids` holds the
+    * low 16 bits of each stored id. With one page the offsets are the
+    * index's own array.
+    */
+  def invertedIndex: (Array[Int], Array[Char]) = (index.vertexOffsets, index.ids)
 
   /** n · `covered` / θ, the influence of a seed set covering `covered` RR sets. */
   def spread(covered: Long): Double = covered * g.n.toDouble / theta
@@ -49,14 +57,17 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
   /** [[influenceOfSets]] with the sets split into contiguous ranges over
     * min(`threads`, ⌈sets / [[RRSetJob.SetsPerWorker]]⌉) workers. Each
     * worker keys its sets and counts the RR sets each covers with its own
-    * stamp array, one pass over the index lists of the set's vertices. Sets
+    * stamp array, one pass over the index lists of the set's vertices, page
+    * by page, each id decoded as page·[[RRCollection.PageSize]] + low. Sets
     * with one key cover the same RR sets, so the map is the same whichever
     * of them it keeps.
     */
   private[spark] def influenceOfSets(sets: Seq[Seq[Int]], threads: Int): Map[String, Double] = {
     sets.foreach(_.foreach(v => require(v >= 0 && v < g.n, s"vertex $v outside [0, ${g.n})")))
     val all = sets.toIndexedSeq
-    val (offsets, ids) = invertedIndex
+    val offsets = index.offsets
+    val ids = index.ids
+    val pages = index.pages
     val keys = new Array[String](all.size)
     val values = new Array[Double](all.size)
     val per = RRSetJob.SetsPerWorker
@@ -69,11 +80,16 @@ final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
         val cur = i + 1
         var covered = 0L
         all(i).foreach { v =>
-          var j = offsets(v)
-          while (j < offsets(v + 1)) {
-            val id = ids(j)
-            if (stamp(id) != cur) { stamp(id) = cur; covered += 1 }
-            j += 1
+          var p = 0
+          while (p < pages) {
+            val base = p * RRCollection.PageSize
+            var j = offsets(v * pages + p)
+            while (j < offsets(v * pages + p + 1)) {
+              val id = base + ids(j)
+              if (stamp(id) != cur) { stamp(id) = cur; covered += 1 }
+              j += 1
+            }
+            p += 1
           }
         }
         keys(i) = GreedyResult.keyOf(all(i))

@@ -95,6 +95,39 @@ class RisSpec extends AnyFunSuite {
     assert(r.seeds.toSet == Set(0, 3))
   }
 
+  test("RIS over two pages matches greedy max coverage of one generate(θ) on the same stream") {
+    val g = GraphGen.karate().withProbs((_, _) => 0.1)
+    val theta = RRCollection.PageSize + 7
+    val k = 4
+    val ris = new Ris(g, theta)
+    val r = Greedy.run(g.n, k, ris, new SplittableRandom(10))
+    // Reference: the θ sets in one generate call, then Greedy's shuffle and last-max rule.
+    val rng = new SplittableRandom(10)
+    val costs = new Costs
+    val c = RRCollection.generate(g.inEdges, theta, rng, costs)
+    val rr = (0 until c.size).map(i => c.members.slice(c.offsets(i), c.offsets(i + 1)).toSet)
+    val order = Array.tabulate(g.n)(identity)
+    Greedy.shuffle(order, rng)
+    val seeds = collection.mutable.ArrayBuffer.empty[Int]
+    val ests = collection.mutable.ArrayBuffer.empty[Double]
+    var uncovered = rr
+    for (_ <- 1 to k) {
+      val est = (0 until g.n).map(u => g.n.toDouble * uncovered.count(_(u)) / theta)
+      val v = order.filterNot(seeds.contains).foldLeft(-1) { (best, u) =>
+        if (best < 0 || est(u) >= est(best)) u else best
+      }
+      seeds += v
+      ests += est(v)
+      uncovered = uncovered.filterNot(_(v))
+    }
+    assert(r.seeds.toSeq == seeds)
+    assert(r.estimates.toSeq == ests)
+    assert((r.vertexCost, r.edgeCost, r.sampleSize) == (costs.vertex, costs.edge, c.storedVertices))
+    // Seeding every vertex covers every set of both pages.
+    (0 until g.n).foreach(ris.update(_, rng))
+    assert((0 until g.n).forall(ris.estimate(_, rng) == 0.0))
+  }
+
   test("theta < 1 is rejected") {
     assertThrows[IllegalArgumentException](new Ris(tiny, 0))
   }

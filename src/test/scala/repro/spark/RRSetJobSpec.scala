@@ -12,12 +12,6 @@ class RRSetJobSpec extends SparkSpec {
     Seq((0, 1, 0.4), (1, 2, 0.7), (0, 3, 0.2), (3, 2, 0.9)))
   private lazy val tinyOracle = RRSetJob(spark, tiny, theta = 150000, seed = 1)
 
-  /** Each vertex's RR-set ids, read from a CSR index. */
-  private def lists(index: (Array[Int], Array[Int])): Seq[Seq[Int]] = {
-    val (offsets, ids) = index
-    (0 until offsets.length - 1).map(v => ids.slice(offsets(v), offsets(v + 1)).toSeq)
-  }
-
   test("inverted index equals a sequential build of the same seeded blocks") {
     val block = RRSetJob.BlockSize
     for (theta <- Seq(1000, 2 * block + 123)) {
@@ -30,7 +24,7 @@ class RRSetJobSpec extends SparkSpec {
           RRSets.generate(tiny, rng, scratch, costs).toSet)
       }
       val expected = (0 until tiny.n).map(v => sets.indices.filter(i => sets(i)(v)))
-      assert(lists(RRSetJob(spark, tiny, theta, seed).invertedIndex) == expected, s"theta=$theta")
+      assert(RRSets.lists(RRSetJob(spark, tiny, theta, seed).index) == expected, s"theta=$theta")
     }
   }
 
@@ -42,13 +36,45 @@ class RRSetJobSpec extends SparkSpec {
       RRCollection.generate(g.inEdges, size,
         new SplittableRandom(TrialRunner.mixSeed(3, b.toLong)), new Costs)
     }
-    val (offsets, ids) = RRCollection.invert(g.n, blocks.size, 1)(blocks)
-    val oracle = RRSetJob(spark, g, theta, seed = 3).invertedIndex
-    assert(oracle._1.toSeq == offsets.toSeq && oracle._2.toSeq == ids.toSeq)
+    val index = RRCollection.invert(g.n, blocks.size, 1)(blocks)
+    val oracle = RRSetJob(spark, g, theta, seed = 3).index
+    assert(oracle.offsets.toSeq == index.offsets.toSeq && oracle.ids.toSeq == index.ids.toSeq)
     // Draw, count and scatter on 1 thread, 3 threads, and more threads than the 6 blocks.
     for (threads <- Seq(1, 3, 16)) {
-      val (o, i) = RRCollection.invert(g.n, blocks.size, threads)(RRSetJob.block(g.inEdges, theta, 3))
-      assert(o.toSeq == offsets.toSeq && i.toSeq == ids.toSeq, s"threads=$threads")
+      val i = RRCollection.invert(g.n, blocks.size, threads)(RRSetJob.block(g.inEdges, theta, 3))
+      assert(i.offsets.toSeq == index.offsets.toSeq && i.ids.toSeq == index.ids.toSeq,
+             s"threads=$threads")
+    }
+  }
+
+  test("an oracle over three pages has one index on any thread count and scores by brute force") {
+    val g = ProbModel.assign(GraphGen.karate(), ProbModel.IWC)
+    val theta = 2L * RRCollection.PageSize + 3
+    val oracle = RRSetJob(spark, g, theta, seed = 9)
+    assert(oracle.index.pages == 3)
+    val blockCount = ((theta + RRSetJob.BlockSize - 1) / RRSetJob.BlockSize).toInt
+    for (threads <- Seq(1, 3, 16)) {
+      val i = RRCollection.invert(g.n, blockCount, threads)(RRSetJob.block(g.inEdges, theta, 9))
+      assert(i.offsets.toSeq == oracle.index.offsets.toSeq && i.ids.toSeq == oracle.index.ids.toSeq,
+             s"threads=$threads")
+    }
+    // Brute force: the RR sets of the blocks, in id order, each a member set.
+    val rr = (0 until blockCount).flatMap { b =>
+      val c = RRSetJob.block(g.inEdges, theta, 9)(b)
+      (0 until c.size).map(i => c.members.slice(c.offsets(i), c.offsets(i + 1)).toSet)
+    }
+    assert(rr.size == theta)
+    assert(RRSets.lists(oracle.index) == (0 until g.n).map(v => rr.indices.filter(rr(_)(v))))
+    // Table 4 and callers outside this library read counts off the vertex offsets.
+    val (vertexOffsets, ids) = oracle.invertedIndex
+    assert((0 until g.n).map(v => vertexOffsets(v + 1) - vertexOffsets(v)) ==
+             RRSets.lists(oracle.index).map(_.size))
+    assert(ids.length == rr.map(_.size).sum)
+    val sets = Seq(Seq(0), Seq(33), Seq(0, 33), Seq(5, 16, 24), Seq(1, 2, 3, 4), Seq.empty)
+    val got = oracle.influenceOfSets(sets)
+    sets.foreach { s =>
+      val covered = rr.count(r => s.exists(r))
+      assert(got(s.sorted.mkString(",")) == covered * g.n.toDouble / theta, s"S=$s")
     }
   }
 
@@ -106,9 +132,8 @@ class RRSetJobSpec extends SparkSpec {
   }
 
   test("every RR set contains at least its target (non-empty)") {
-    val (_, ids) = tinyOracle.invertedIndex
     val seen = new Array[Boolean](150000)
-    ids.foreach(id => seen(id) = true)
+    RRSets.lists(tinyOracle.index).flatten.foreach(id => seen(id) = true)
     assert(seen.forall(identity))
   }
 
@@ -136,14 +161,14 @@ class RRSetJobSpec extends SparkSpec {
   }
 
   test("generation is deterministic in the oracle seed") {
-    val a = lists(RRSetJob(spark, tiny, 5000, seed = 5).invertedIndex)
-    assert(lists(RRSetJob(spark, tiny, 5000, seed = 5).invertedIndex) == a)
-    assert(lists(RRSetJob(spark, tiny, 5000, seed = 6).invertedIndex) != a)
+    val a = RRSets.lists(RRSetJob(spark, tiny, 5000, seed = 5).index)
+    assert(RRSets.lists(RRSetJob(spark, tiny, 5000, seed = 5).index) == a)
+    assert(RRSets.lists(RRSetJob(spark, tiny, 5000, seed = 6).index) != a)
   }
 
   test("coverage counting agrees with DuckDB (oracle check of the join)") {
     val small = RRSetJob(spark, tiny, 2000, seed = 6)
-    val membership = lists(small.invertedIndex).zipWithIndex
+    val membership = RRSets.lists(small.index).zipWithIndex
       .flatMap { case (ids, v) => ids.map(id => Seq(id, v)) }
     val seedSets = Seq(Seq("a", 0), Seq("b", 1), Seq("b", 3))
     val inf = small.influenceOfSets(Seq(Seq(0), Seq(1, 3)))
